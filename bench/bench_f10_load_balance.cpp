@@ -24,10 +24,10 @@ double spread_time(std::uint32_t m, std::uint64_t seed) {
   std::vector<core::DcState> agents(m);
   for (auto& s : agents) {
     s = core::dc_initial_state(p, rank);
-    for (auto& bucket : s.msgs) bucket.clear();
+    s.msgs.clear(s.msgs.size());
   }
   const std::uint32_t ids = p.ids_per_rank(0);
-  for (std::uint32_t j = 1; j <= ids; ++j) agents[0].msgs[0].push_back({j, 1});
+  for (std::uint32_t j = 1; j <= ids; ++j) agents[0].msgs.insert(0, {j, 1});
 
   pp::UniformScheduler sched(m, seed);
   const std::uint64_t budget = 4000ull * m * core::Params::log2ceil(m);

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t i = 0; i < n; ++i) {
     core::Agent& a = sim.population()[i];
     if (a.role != core::Role::kVerifying) continue;
-    for (auto& bucket : a.sv.dc.msgs) {
+    for (auto bucket : a.sv.dc.msgs) {
       for (auto& msg : bucket) {
         if (fault.below(3) == 0) {
           msg.content = static_cast<std::uint32_t>(2 + fault.below(1u << 20));

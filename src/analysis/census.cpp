@@ -7,6 +7,13 @@
 namespace ssle::analysis {
 namespace {
 
+/// Heap bytes of a DetectCollision state: the message store's buffer
+/// (bucket bounds and messages) and the observations array.
+std::uint64_t dc_heap_bytes(const core::DcState& dc) {
+  return dc.msgs.heap_bytes() +
+         dc.observations.capacity() * sizeof(std::uint32_t);
+}
+
 /// Shared body of the counts-native censuses: one registry pass, each live
 /// class contributing count-weighted.  Rank multiplicity is resolved from
 /// the (rank, count) pairs themselves — O(q log q) — instead of an O(n)
@@ -29,14 +36,8 @@ Census census_from_counts(const core::Params& params, const Counts& counts) {
       if (a.sv.dc.error) errors += count;
       gens[a.sv.generation % core::Params::kGenerations] = true;
       if (a.rank >= 1 && a.rank <= params.n) ranks.emplace_back(a.rank, count);
-      std::uint64_t class_messages = 0, class_bytes = 0;
-      for (const auto& bucket : a.sv.dc.msgs) {
-        class_messages += bucket.size();
-        class_bytes += bucket.capacity() * sizeof(core::Msg);
-      }
-      class_bytes += a.sv.dc.observations.capacity() * sizeof(std::uint32_t);
-      c.total_messages += class_messages * count;
-      c.approx_bytes += class_bytes * count;
+      c.total_messages += a.sv.dc.msgs.message_count() * count;
+      c.approx_bytes += dc_heap_bytes(a.sv.dc) * count;
     }
     c.approx_bytes +=
         (sizeof(core::Agent) + a.ar.channel.capacity() * sizeof(std::uint32_t)) *
@@ -80,11 +81,8 @@ Census take_census(const core::Params& params,
       if (a.sv.dc.error) ++c.errors;
       gens[a.sv.generation % core::Params::kGenerations] = true;
       if (a.rank >= 1 && a.rank <= params.n) ++rank_count[a.rank];
-      for (const auto& bucket : a.sv.dc.msgs) {
-        c.total_messages += bucket.size();
-        c.approx_bytes += bucket.capacity() * sizeof(core::Msg);
-      }
-      c.approx_bytes += a.sv.dc.observations.capacity() * sizeof(std::uint32_t);
+      c.total_messages += a.sv.dc.msgs.message_count();
+      c.approx_bytes += dc_heap_bytes(a.sv.dc);
     }
     c.approx_bytes += sizeof(core::Agent);
     c.approx_bytes += a.ar.channel.capacity() * sizeof(std::uint32_t);

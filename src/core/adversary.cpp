@@ -32,15 +32,40 @@ std::string corruption_name(Corruption c) {
   return "?";
 }
 
+namespace {
+
+/// Agent i of the safe configuration: a verifier of rank i + 1 at q0,SV.
+void make_safe_agent(const Params& params, std::uint32_t i, Agent& a) {
+  a.role = Role::kVerifying;
+  a.rank = i + 1;
+  a.countdown = 0;
+  sv_reset(params, a.rank, a.sv);
+  a.sv.probation_timer = 0;  // long past the initial probation
+}
+
+/// Corrupts the contents of a fraction of the circulating messages `a`
+/// holds for *other* ranks (the governor's own copies stay tied to its
+/// observations by the state-space restriction).
+void corrupt_messages(const Params& params, Agent& a, util::Rng& rng) {
+  const std::uint32_t own_bucket = params.rank_in_group(a.rank) - 1;
+  const std::uint64_t wrong_contents =
+      params.signature_space(params.group_of(a.rank)) - 1;
+  for (std::size_t k = 0; k < a.sv.dc.msgs.size(); ++k) {
+    if (k == own_bucket) continue;
+    for (Msg& msg : a.sv.dc.msgs[k]) {
+      if (rng.below(4) == 0) {
+        msg.content = static_cast<std::uint32_t>(2 + rng.below(wrong_contents));
+      }
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<Agent> make_safe_config(const Params& params) {
   std::vector<Agent> config(params.n);
   for (std::uint32_t i = 0; i < params.n; ++i) {
-    Agent& a = config[i];
-    a.role = Role::kVerifying;
-    a.rank = i + 1;
-    a.countdown = 0;
-    a.sv = sv_initial_state(params, a.rank);
-    a.sv.probation_timer = 0;  // long past the initial probation
+    make_safe_agent(params, i, config[i]);
   }
   return config;
 }
@@ -51,10 +76,8 @@ namespace {
 /// restriction after ad-hoc edits.
 void enforce_observation_invariant(const Params& params, Agent& a) {
   if (a.role != Role::kVerifying || a.sv.dc.error) return;
-  const std::uint32_t group = params.group_of(a.rank);
   const std::uint32_t bucket = params.rank_in_group(a.rank) - 1;
   if (bucket >= a.sv.dc.msgs.size()) return;
-  (void)group;
   for (const Msg& msg : a.sv.dc.msgs[bucket]) {
     if (msg.id >= 1 && msg.id <= a.sv.dc.observations.size()) {
       a.sv.dc.observations[msg.id - 1] = msg.content;
@@ -74,20 +97,16 @@ DcState random_dc_state(const Params& params, std::uint32_t rank,
   for (auto& o : s.observations) {
     o = static_cast<std::uint32_t>(1 + rng.below(params.signature_space(group)));
   }
-  for (auto& bucket : s.msgs) {
-    // Randomly drop, keep or re-stamp each held message.
-    std::vector<Msg> kept;
-    for (Msg msg : bucket) {
-      const auto action = rng.below(3);
-      if (action == 0) continue;  // drop
-      if (action == 1) {
-        msg.content = static_cast<std::uint32_t>(
-            1 + rng.below(params.signature_space(group)));
-      }
-      kept.push_back(msg);
+  // Randomly drop, keep or re-stamp each held message.
+  s.msgs.retain([&](std::size_t, Msg& msg) {
+    const auto action = rng.below(3);
+    if (action == 0) return false;  // drop
+    if (action == 1) {
+      msg.content = static_cast<std::uint32_t>(
+          1 + rng.below(params.signature_space(group)));
     }
-    bucket = std::move(kept);
-  }
+    return true;
+  });
   s.error = rng.below(16) == 0;  // occasionally start at ⊤ directly
   return s;
 }
@@ -194,7 +213,7 @@ std::vector<Agent> make_adversarial_config(const Params& params, Corruption c,
         const auto to = static_cast<std::uint32_t>(rng.below(params.n));
         if (from == to) continue;
         config[to].rank = config[from].rank;
-        config[to].sv = sv_initial_state(params, config[to].rank);
+        sv_reset(params, config[to].rank, config[to].sv);
         config[to].sv.probation_timer = 0;
       }
       return config;
@@ -205,29 +224,19 @@ std::vector<Agent> make_adversarial_config(const Params& params, Corruption c,
       // Shift every rank up by one; rank 1 disappears, rank 2 duplicates.
       for (Agent& a : config) {
         a.rank = std::min(a.rank + 1, params.n);
-        a.sv = sv_initial_state(params, a.rank);
+        sv_reset(params, a.rank, a.sv);
         a.sv.probation_timer = 0;
       }
       return config;
     }
 
     case Corruption::kCorruptMessages: {
-      auto config = make_safe_config(params);
-      // Corrupt the contents of a fraction of circulating messages held by
-      // *other* agents (the governor's own copies stay tied to its
-      // observations by the state-space restriction).
-      for (Agent& a : config) {
-        const std::uint32_t own_bucket = params.rank_in_group(a.rank) - 1;
-        for (std::size_t k = 0; k < a.sv.dc.msgs.size(); ++k) {
-          if (k == own_bucket) continue;
-          for (Msg& msg : a.sv.dc.msgs[k]) {
-            if (rng.below(4) == 0) {
-              msg.content = static_cast<std::uint32_t>(
-                  2 + rng.below(params.signature_space(
-                          params.group_of(a.rank)) - 1));
-            }
-          }
-        }
+      // The safe configuration, each agent corrupted while it is still in
+      // cache (the same draws, in the same order, as a second pass).
+      std::vector<Agent> config(params.n);
+      for (std::uint32_t i = 0; i < params.n; ++i) {
+        make_safe_agent(params, i, config[i]);
+        corrupt_messages(params, config[i], rng);
       }
       return config;
     }
@@ -235,13 +244,8 @@ std::vector<Agent> make_adversarial_config(const Params& params, Corruption c,
     case Corruption::kLostMessages: {
       auto config = make_safe_config(params);
       for (Agent& a : config) {
-        for (auto& bucket : a.sv.dc.msgs) {
-          std::vector<Msg> kept;
-          for (const Msg& msg : bucket) {
-            if (rng.below(4) != 0) kept.push_back(msg);
-          }
-          bucket = std::move(kept);
-        }
+        a.sv.dc.msgs.retain(
+            [&](std::size_t, const Msg&) { return rng.below(4) != 0; });
         enforce_observation_invariant(params, a);
       }
       return config;

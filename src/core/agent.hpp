@@ -5,8 +5,16 @@
 // keeps all sub-records in one struct and resets newly-inactive fields on
 // every role change; state-space *size* accounting (which is what the
 // paper's bounds are about) lives in core/state_size.*.
+//
+// Memory layout.  An Agent is at most 200 inline bytes.  Its heap state is
+// the ranker's channel, plus, for a verifier, two DetectCollision blocks:
+// the MsgStore buffer (bucket bounds and every held message) and the
+// observations array.  The store is sized per agent rather than at a fixed
+// stride: a stride sized for verifiers would give every ranker and
+// resetter a verifier's few kilobytes.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -97,6 +105,172 @@ struct Msg {
   friend auto operator<=>(const Msg& a, const Msg& b) { return a.id <=> b.id; }
 };
 
+/// One bucket of a MsgStore: a contiguous, ID-sorted run of messages.  A
+/// view stays valid until the next edit that changes the store's shape
+/// (clear, extend, insert, retain); editing message fields through it is
+/// fine.
+template <typename T>
+class BucketView {
+ public:
+  BucketView(T* first, T* last, T* limit)
+      : first_(first), last_(last), limit_(limit) {}
+
+  T* begin() const { return first_; }
+  T* end() const { return last_; }
+  std::size_t size() const { return static_cast<std::size_t>(last_ - first_); }
+  bool empty() const { return first_ == last_; }
+  /// Slots up to the next bucket's first message (the store's reserved tail
+  /// for the last bucket), so the buckets' capacities sum to the store's
+  /// message slots.
+  std::size_t capacity() const {
+    return static_cast<std::size_t>(limit_ - first_);
+  }
+  T& operator[](std::size_t i) const { return first_[i]; }
+  T& front() const { return *first_; }
+  T& back() const { return last_[-1]; }
+
+ private:
+  T* first_;
+  T* last_;
+  T* limit_;
+};
+
+/// The sparse message arrays of Fig. 3 for one agent, in one buffer.
+///
+/// The buffer opens with one header slot per bucket, {first, last} indices
+/// of the bucket's messages, followed by the messages themselves,
+/// bucket-major and ID-sorted within each bucket.  Buckets are packed, so
+/// the header of bucket 0 starts at the bucket count and equal stores have
+/// equal buffers: copy, == and the hash are single passes.
+class MsgStore {
+ public:
+  using Bucket = BucketView<Msg>;
+  using ConstBucket = BucketView<const Msg>;
+
+  template <typename Store, typename View>
+  class Iterator {
+   public:
+    Iterator(Store* store, std::size_t k) : store_(store), k_(k) {}
+    View operator*() const { return (*store_)[k_]; }
+    Iterator& operator++() {
+      ++k_;
+      return *this;
+    }
+    bool operator==(const Iterator&) const = default;
+
+   private:
+    Store* store_;
+    std::size_t k_;
+  };
+
+  MsgStore() = default;
+  /// One bucket per entry of `buckets`, each kept in the given order.
+  explicit MsgStore(const std::vector<std::vector<Msg>>& buckets) {
+    std::size_t total = 0;
+    for (const auto& b : buckets) total += b.size();
+    clear(buckets.size(), total);
+    for (std::size_t k = 0; k < buckets.size(); ++k) {
+      const auto& bucket = buckets[k];
+      std::copy(bucket.begin(), bucket.end(), extend(bucket.size()));
+      close_bucket(k);
+    }
+  }
+
+  /// Number of buckets.
+  std::size_t size() const { return slots_.empty() ? 0 : slots_[0].id; }
+  bool empty() const { return slots_.empty(); }
+  /// Header slots reserved: the bucket count, or the whole buffer while the
+  /// store holds no bucket.  With the buckets' capacity() this accounts for
+  /// every reserved slot.
+  std::size_t capacity() const { return empty() ? slots_.capacity() : size(); }
+  /// Messages held, over all buckets.
+  std::size_t message_count() const { return slots_.size() - size(); }
+  /// Heap bytes of the buffer.
+  std::size_t heap_bytes() const { return slots_.capacity() * sizeof(Msg); }
+
+  Bucket operator[](std::size_t k) {
+    Msg* data = slots_.data();
+    return {data + slots_[k].id, data + slots_[k].content,
+            data + limit_of(k)};
+  }
+  ConstBucket operator[](std::size_t k) const {
+    const Msg* data = slots_.data();
+    return {data + slots_[k].id, data + slots_[k].content,
+            data + limit_of(k)};
+  }
+  Iterator<MsgStore, Bucket> begin() { return {this, 0}; }
+  Iterator<MsgStore, Bucket> end() { return {this, size()}; }
+  Iterator<const MsgStore, ConstBucket> begin() const { return {this, 0}; }
+  Iterator<const MsgStore, ConstBucket> end() const { return {this, size()}; }
+
+  // --- Rewriting, reusing the buffer -----------------------------------------
+  // A rewrite is clear(buckets), then for k = 0, 1, ...: extend() for the
+  // bucket's messages and close_bucket(k).  Every bucket must be closed, in
+  // order, before the store is read again.
+
+  /// Drops every message and sets `buckets` empty buckets; reserves room
+  /// for `messages` messages, so a rewrite of known size allocates at most
+  /// once and exactly.
+  void clear(std::size_t buckets, std::size_t messages = 0) {
+    slots_.clear();
+    if (buckets == 0) return;
+    slots_.reserve(buckets + messages);
+    const auto at = static_cast<std::uint32_t>(buckets);
+    slots_.resize(buckets, Msg{at, at});
+  }
+  /// Appends `count` message slots at the tail and returns the first; the
+  /// pointer is valid until the next extend.
+  Msg* extend(std::size_t count) {
+    const std::size_t at = slots_.size();
+    if (at + count > slots_.capacity()) slots_.reserve(at + count + at / 8);
+    slots_.resize(at + count);
+    return slots_.data() + at;
+  }
+  /// Ends bucket k at the tail: it holds every message after bucket k − 1.
+  void close_bucket(std::size_t k) {
+    const std::uint32_t first = k == 0 ? slots_[0].id : slots_[k - 1].content;
+    slots_[k] = {first, static_cast<std::uint32_t>(slots_.size())};
+  }
+
+  // --- Single-message edits (adversaries, tests) -----------------------------
+
+  /// Inserts `msg` into bucket k after every message with ID ≤ msg.id.
+  void insert(std::size_t k, Msg msg) {
+    const Bucket b = (*this)[k];
+    const Msg* at = std::upper_bound(b.begin(), b.end(), msg);
+    slots_.insert(slots_.begin() + (at - slots_.data()), msg);
+    slots_[k].content += 1;
+    for (std::size_t j = k + 1; j < size(); ++j) {
+      slots_[j].id += 1;
+      slots_[j].content += 1;
+    }
+  }
+  /// Keeps, in order, the messages for which keep(bucket, msg) is true;
+  /// `keep` may edit the message it is given.
+  template <typename Keep>
+  void retain(Keep keep) {
+    std::uint32_t write = static_cast<std::uint32_t>(size());
+    for (std::size_t k = 0; k < size(); ++k) {
+      const std::uint32_t first = write;
+      for (std::uint32_t i = slots_[k].id; i < slots_[k].content; ++i) {
+        Msg msg = slots_[i];
+        if (keep(k, msg)) slots_[write++] = msg;
+      }
+      slots_[k] = {first, write};
+    }
+    slots_.resize(write);
+  }
+
+  friend bool operator==(const MsgStore&, const MsgStore&) = default;
+
+ private:
+  std::size_t limit_of(std::size_t k) const {
+    return k + 1 < size() ? slots_[k + 1].id : slots_.capacity();
+  }
+
+  std::vector<Msg> slots_;  ///< header (one {first, last} per bucket), messages
+};
+
 struct DcState {
   bool error = false;  ///< the ⊤ state
 
@@ -105,7 +279,7 @@ struct DcState {
 
   /// msgs[k] = messages governed by the k-th rank of this agent's group
   /// that this agent currently holds, sorted by ID (sparse array of Fig. 3).
-  std::vector<std::vector<Msg>> msgs;
+  MsgStore msgs;
 
   /// observations[j] = content this agent last stamped into its own message
   /// with ID j+1 (dense array of Fig. 3).
@@ -141,6 +315,10 @@ struct Agent {
   friend bool operator==(const Agent&, const Agent&) = default;
 };
 
+// Naive populations hold n agents inline; keep rankers cache-sized.
+static_assert(sizeof(MsgStore) == sizeof(std::vector<Msg>));
+static_assert(sizeof(Agent) <= 200);
+
 // ---------------------------------------------------------------------------
 // Hashing: a nested combine over every field operator== compares, so equal
 // agents hash equal.  The std::hash<Agent> specialization below switches
@@ -151,13 +329,6 @@ struct Agent {
 namespace detail {
 
 using util::hash_mix;
-
-template <typename T>
-void hash_mix_vec(std::size_t& seed, const std::vector<T>& xs,
-                  std::size_t (*elem_hash)(const T&)) {
-  hash_mix(seed, xs.size());
-  for (const T& x : xs) hash_mix(seed, elem_hash(x));
-}
 
 }  // namespace detail
 
@@ -209,8 +380,9 @@ inline std::size_t hash_value(const DcState& s) {
   detail::hash_mix(h, s.signature);
   detail::hash_mix(h, s.counter);
   detail::hash_mix(h, s.msgs.size());
-  for (const auto& bucket : s.msgs) {
-    detail::hash_mix_vec(h, bucket, &hash_value);
+  for (const auto bucket : s.msgs) {
+    detail::hash_mix(h, bucket.size());
+    for (const Msg& m : bucket) detail::hash_mix(h, hash_value(m));
   }
   detail::hash_mix(h, s.observations.size());
   for (const std::uint32_t o : s.observations) detail::hash_mix(h, o);

@@ -29,6 +29,10 @@ namespace ssle::core {
 /// ... and messages are pre-mixed among agents").
 DcState dc_initial_state(const Params& params, std::uint32_t rank);
 
+/// Rewrites `s` to dc_initial_state(params, rank) in place, reusing its
+/// buffers: a soft reset allocates nothing once an agent has verified.
+void dc_reset(const Params& params, std::uint32_t rank, DcState& s);
+
 /// Protocol 3.  Runs one DetectCollision_r interaction between agents of
 /// rank `rank_u` / `rank_v` with collision-detection states `u` / `v`.
 /// No-op if the ranks belong to different groups.  May set u/v.error (⊤).

@@ -42,7 +42,7 @@ void ElectLeader::interact(State& u, State& v, util::Rng& rng) const {
       // The state space restricts rank to [n] (Fig. 1); clamp enforces this
       // for ranks computed from adversarially initialized channels.
       self->rank = std::clamp<std::uint32_t>(self->ar.rank, 1, params_.n);
-      self->sv = sv_initial_state(params_, self->rank);
+      sv_reset(params_, self->rank, self->sv);
       self->ar = ArState{};
     }
   }

@@ -41,21 +41,41 @@ bool message_system_consistent(const Params& params,
     if (a.rank >= 1 && a.rank <= params.n) obs[a.rank] = &a.sv.dc.observations;
   }
 
-  // seen[(rank-1)] = bitmap of message IDs already encountered.
-  std::vector<std::vector<bool>> seen(params.n);
+  // One flat bitmap of the message IDs already encountered.  Rank r owns
+  // the bits [offset[r], offset[r] + width[r]), allotted when an agent
+  // first holds a bucket for r: width ids_per_rank + 1 of that agent's
+  // group (IDs are 1-based).
+  std::vector<std::uint64_t> offset(params.n + 1, 0);
+  std::vector<std::uint32_t> width(params.n + 1, 0);
+  std::uint64_t bits = 0;
+  for (std::uint32_t g = 0; g < params.num_groups(); ++g) {
+    bits += std::uint64_t{params.group_size(g)} * (params.ids_per_rank(g) + 1);
+  }
+  std::vector<std::uint64_t> seen;
+  seen.reserve((bits + 63) / 64);
+  bits = 0;
   for (const Agent& a : config) {
     const std::uint32_t group = params.group_of(a.rank);
     const std::uint32_t begin = params.group_begin(group);
-    for (std::size_t k = 0; k < a.sv.dc.msgs.size(); ++k) {
+    const MsgStore& msgs = a.sv.dc.msgs;
+    for (std::size_t k = 0; k < msgs.size(); ++k) {
       const std::uint32_t rank = begin + static_cast<std::uint32_t>(k);
-      if (rank > params.n) return false;
-      auto& bitmap = seen[rank - 1];
-      if (bitmap.empty()) bitmap.assign(params.ids_per_rank(group) + 1, false);
-      for (const Msg& msg : a.sv.dc.msgs[k]) {
-        if (msg.id == 0 || msg.id >= bitmap.size()) return false;
-        if (bitmap[msg.id]) return false;  // duplicated circulating message
-        bitmap[msg.id] = true;
-        const auto* governor = obs[rank];
+      if (rank == 0 || rank > params.n) return false;
+      if (width[rank] == 0) {
+        width[rank] = params.ids_per_rank(group) + 1;
+        offset[rank] = bits;
+        bits += width[rank];
+        seen.resize((bits + 63) / 64, 0);
+      }
+      const std::uint32_t limit = width[rank];
+      const std::uint64_t base = offset[rank];
+      const auto* governor = obs[rank];
+      for (const Msg& msg : msgs[k]) {
+        if (msg.id == 0 || msg.id >= limit) return false;
+        const std::uint64_t bit = base + msg.id;
+        const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+        if (seen[bit / 64] & mask) return false;  // duplicated message
+        seen[bit / 64] |= mask;
         if (governor == nullptr || msg.id > governor->size()) return false;
         if ((*governor)[msg.id - 1] != msg.content) return false;
       }

@@ -83,7 +83,7 @@ void write_agent(std::ostringstream& os, const Params& params,
   for (const auto o : a.sv.dc.observations) os << ' ' << o;
   write_u64(os, "buckets", a.sv.dc.msgs.size());
   os << '\n';
-  for (const auto& bucket : a.sv.dc.msgs) {
+  for (const auto bucket : a.sv.dc.msgs) {
     os << "msgs n=" << bucket.size();
     for (const Msg& m : bucket) os << ' ' << m.id << ':' << m.content;
     os << '\n';
@@ -147,23 +147,27 @@ std::optional<Agent> read_agent(std::istringstream& is) {
   }
   if (!read_u32(is, "buckets", &u32)) return std::nullopt;
   if (u32 > (1u << 20)) return std::nullopt;
-  a.sv.dc.msgs.resize(u32);
-  for (auto& bucket : a.sv.dc.msgs) {
+  const std::uint32_t buckets = u32;
+  MsgStore& msgs = a.sv.dc.msgs;
+  msgs.clear(buckets);
+  for (std::uint32_t k = 0; k < buckets; ++k) {
     std::string line_tag;
     std::uint32_t count = 0;
     if (!(is >> line_tag) || line_tag != "msgs") return std::nullopt;
     if (!read_u32(is, "n", &count) || count > (1u << 26)) return std::nullopt;
-    bucket.resize(count);
-    for (Msg& m : bucket) {
+    for (std::uint32_t i = 0; i < count; ++i) {
       std::string pair;
       if (!(is >> pair)) return std::nullopt;
       const auto colon = pair.find(':');
       if (colon == std::string::npos) return std::nullopt;
+      Msg m;
       if (!parse_u32_token(pair.substr(0, colon), &m.id)) return std::nullopt;
       if (!parse_u32_token(pair.substr(colon + 1), &m.content)) {
         return std::nullopt;
       }
+      *msgs.extend(1) = m;
     }
+    msgs.close_bucket(k);
   }
   return a;
 }

@@ -5,24 +5,29 @@
 
 namespace ssle::core {
 
-SvState sv_initial_state(const Params& params, std::uint32_t rank) {
-  SvState s;
+void sv_reset(const Params& params, std::uint32_t rank, SvState& s) {
   s.generation = 0;
   // Fresh verifiers start *on probation* (§3.2: a positive timer means
   // "only a short period of time has passed since the beginning of the
   // process", in which case errors cause a safe full reset).
   s.probation_timer = params.probation_max;
-  s.dc = dc_initial_state(params, rank);
+  dc_reset(params, rank, s.dc);
+}
+
+SvState sv_initial_state(const Params& params, std::uint32_t rank) {
+  SvState s;
+  sv_reset(params, rank, s);
   return s;
 }
 
 namespace {
 
 /// Soft reset of a single agent (Protocol 2 line 7 / line 11): advance to
-/// `generation`, re-enter DetectCollision at q0,DC, go on probation.
+/// `generation`, re-enter DetectCollision at q0,DC in the agent's own
+/// buffers, go on probation.
 void soft_reset(const Params& params, Agent& a, std::uint32_t generation) {
   a.sv.generation = generation % Params::kGenerations;
-  a.sv.dc = dc_initial_state(params, a.rank);
+  dc_reset(params, a.rank, a.sv.dc);
   a.sv.probation_timer = params.probation_max;
 }
 

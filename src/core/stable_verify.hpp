@@ -23,6 +23,10 @@ namespace ssle::core {
 /// ranking never raise ⊤, so the timers tick down into C_safe.
 SvState sv_initial_state(const Params& params, std::uint32_t rank);
 
+/// Rewrites `s` to sv_initial_state(params, rank) in place, reusing its
+/// buffers.
+void sv_reset(const Params& params, std::uint32_t rank, SvState& s);
+
 /// Protocol 2.  One StableVerify_r interaction between verifiers u and v.
 /// Hard resets are performed via trigger_reset on the corresponding Agent.
 void stable_verify(const Params& params, Agent& u, Agent& v, util::Rng& rng);

@@ -139,9 +139,9 @@ CheckpointDoc make_checkpoint(pp::ShardedSimulator<P>& sim,
   return doc;
 }
 
-/// Restores `doc` into `sim` (construct the engine with an EMPTY
-/// configuration and the matching shard count first).  Re-adds every
-/// shard's (state, count) list in serialized order — reproducing the
+/// Restores `doc` into `sim`, a fresh engine constructed with any
+/// population (n >= 2), whose configuration the restore replaces.  Re-adds
+/// every shard's (state, count) list in serialized order — reproducing the
 /// saver's canonical dense ids — then installs RNG states and the
 /// interaction count.  Returns false, leaving the engine unusable, on any
 /// mismatch: engine kind, protocol label, undecodable state, population

@@ -276,16 +276,19 @@ class BatchedSimulator {
         rng_(util::substream(seed, 1)),
         agent_rng_(util::substream(seed, 2)),
         sampling_(sampling),
-        memo_(memo) {}
+        memo_(memo) {
+    require_population("batched", config_.population_size());
+  }
 
   BatchedSimulator(const P& protocol, std::uint64_t seed,
                    BlockSampling sampling = BlockSampling::kAuto,
                    DeltaMemo memo = DeltaMemo::kEnabled)
       : BatchedSimulator(protocol, Config(protocol), seed, sampling, memo) {}
 
-  /// Executes exactly `count` interactions.  With fewer than two agents no
-  /// pair exists and no interaction can change the configuration; steps
-  /// are counted (so run_until terminates) but are no-ops.
+  /// Executes exactly `count` interactions.  With fewer than two agents
+  /// (left by churn: the constructor requires n >= 2) no pair exists and
+  /// no interaction can change the configuration; steps are counted (so
+  /// run_until terminates) but are no-ops.
   ///
   /// Uniform configurations advance in collision-free blocks.  Community
   /// configurations advance one exact interaction at a time: the birthday

@@ -179,7 +179,9 @@ class LeapingSimulator {
         config_(std::move(config)),
         rng_(util::substream(seed, 1)),
         agent_rng_(util::substream(seed, 2)),
-        event_cap_(std::max<std::uint32_t>(1, event_cap)) {}
+        event_cap_(std::max<std::uint32_t>(1, event_cap)) {
+    require_population("leaping", config_.population_size());
+  }
 
   LeapingSimulator(const P& protocol, std::uint64_t seed,
                    std::uint32_t event_cap = kDefaultEventCap)

@@ -13,6 +13,8 @@
 
 #include <concepts>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 
 #include "util/rng.hpp"
 
@@ -78,5 +80,20 @@ inline constexpr bool kNarrowRegistry = [] {
 /// ineligible protocols to the batched engine instead.
 template <typename P>
 concept LeapEligible = DeterministicDelta<P> && kNarrowRegistry<P>;
+
+/// Engine-constructor precondition: the uniform scheduler draws two
+/// distinct agents, so every engine starts from n >= 2 agents, and the
+/// naive engine, which indexes agents with 32 bits, from n <= `max_n`.
+/// A violation exits with status 2 naming the field.
+inline void require_population(const char* engine, std::uint64_t n,
+                               std::uint64_t max_n = ~std::uint64_t{0}) {
+  if (n >= 2 && n <= max_n) return;
+  std::fprintf(stderr,
+               "error: the %s engine needs a population of 2 <= n <= %llu "
+               "agents, got n=%llu (field: n)\n",
+               engine, static_cast<unsigned long long>(max_n),
+               static_cast<unsigned long long>(n));
+  std::exit(2);
+}
 
 }  // namespace ssle::pp

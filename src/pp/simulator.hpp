@@ -40,6 +40,9 @@ concept Scheduler = requires(S s) {
 template <Protocol P, Scheduler Sched = UniformScheduler>
 class Simulator {
  public:
+  /// Agents are indexed with 32 bits.
+  static constexpr std::uint64_t kMaxAgents = 0xFFFFFFFFull;
+
   using Predicate =
       std::function<bool(const Population<P>&, std::uint64_t /*interactions*/)>;
 
@@ -50,14 +53,18 @@ class Simulator {
       : protocol_(protocol),
         population_(std::move(population)),
         scheduler_(std::move(scheduler)),
-        agent_rng_(util::substream(seed, 2)) {}
+        agent_rng_(util::substream(seed, 2)) {
+    require_population("naive", population_.states().size(), kMaxAgents);
+  }
 
   Simulator(const P& protocol, Population<P> population, std::uint64_t seed)
     requires std::same_as<Sched, UniformScheduler>
       : protocol_(protocol),
         population_(std::move(population)),
         scheduler_(population_.size(), util::substream(seed, 1)),
-        agent_rng_(util::substream(seed, 2)) {}
+        agent_rng_(util::substream(seed, 2)) {
+    require_population("naive", population_.states().size(), kMaxAgents);
+  }
 
   Simulator(const P& protocol, std::uint64_t seed)
     requires std::same_as<Sched, UniformScheduler>

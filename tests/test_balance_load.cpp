@@ -72,8 +72,8 @@ TEST(BalanceLoad, EmptyAgentsNoCrash) {
   const Params p = Params::make(8, 4);
   DcState a = dc_initial_state(p, 1);
   DcState b = dc_initial_state(p, 2);
-  for (auto& bucket : a.msgs) bucket.clear();
-  for (auto& bucket : b.msgs) bucket.clear();
+  a.msgs.clear(a.msgs.size());
+  b.msgs.clear(b.msgs.size());
   balance_load(p, 1, a, b);
   EXPECT_EQ(dc_message_count(a), 0u);
   EXPECT_EQ(dc_message_count(b), 0u);
@@ -85,10 +85,9 @@ TEST(BalanceLoad, OneSidedLoadHalves) {
   DcState b = dc_initial_state(p, 2);
   // Give everything to a.
   for (std::size_t k = 0; k < a.msgs.size(); ++k) {
-    for (const Msg& m : b.msgs[k]) a.msgs[k].push_back(m);
-    std::sort(a.msgs[k].begin(), a.msgs[k].end());
-    b.msgs[k].clear();
+    for (const Msg& m : b.msgs[k]) a.msgs.insert(k, m);
   }
+  b.msgs.clear(b.msgs.size());
   const auto total = dc_message_count(a);
   balance_load(p, 1, a, b);
   EXPECT_EQ(dc_message_count(a) + dc_message_count(b), total);
@@ -114,11 +113,11 @@ TEST(BalanceLoad, SpreadDynamics) {
   std::vector<DcState> agents(m);
   for (auto& s : agents) {
     s = dc_initial_state(p, rank);
-    for (auto& bucket : s.msgs) bucket.clear();
+    s.msgs.clear(s.msgs.size());
   }
   const std::uint32_t ids = p.ids_per_rank(group);
   for (std::uint32_t j = 1; j <= ids; ++j) {
-    agents[0].msgs[0].push_back({j, 1});
+    agents[0].msgs.insert(0, {j, 1});
   }
 
   pp::UniformScheduler sched(m, 3);

@@ -494,5 +494,15 @@ TEST(BatchedEquivalence, ElectLeaderStabilizationTimesMatch) {
       << "naive mean=" << sn.mean << " batched mean=" << sb.mean;
 }
 
+// Engines start from n >= 2 agents (the scheduler's pair draw); churn may
+// later shrink the population, which step() then treats as no-ops.
+TEST(BatchedDeathTest, RejectsPopulationsBelowTwo) {
+  EXPECT_EXIT({ BatchedSimulator<Epidemic> sim(Epidemic{1}, 1); },
+              ::testing::ExitedWithCode(2),
+              "batched engine.*n=1 \\(field: n\\)");
+  EXPECT_EXIT({ BatchedSimulator<Epidemic> sim(Epidemic{0}, 1); },
+              ::testing::ExitedWithCode(2), "n=0 \\(field: n\\)");
+}
+
 }  // namespace
 }  // namespace ssle::pp

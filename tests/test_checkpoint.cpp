@@ -120,7 +120,7 @@ TEST(CheckpointRestore, GuardsRejectMismatchedDocuments) {
       make_checkpoint(sim, "elect_leader", core::snapshot_write_agent);
 
   const auto fresh = [&] {
-    return Batched(protocol, Batched::Config(std::vector<core::Agent>{}), 1);
+    return Batched(protocol, safe_config(p), 1);
   };
   {
     Batched r = fresh();
@@ -183,7 +183,7 @@ TEST(CheckpointRestore, BatchedContinuationIsBitIdentical) {
   const auto loaded = checkpoint_load(path);
   ASSERT_TRUE(loaded.has_value());
 
-  Batched resumer(protocol, Batched::Config(std::vector<core::Agent>{}), 999);
+  Batched resumer(protocol, safe_config(p), 999);
   ASSERT_TRUE(restore_checkpoint(resumer, *loaded, "elect_leader",
                                  core::snapshot_read_agent));
   EXPECT_EQ(resumer.interactions(), saver.interactions());

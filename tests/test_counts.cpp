@@ -303,17 +303,29 @@ TEST(Fenwick, SampleClassNeverReturnsZeroCountEntries) {
 // Engine edge cases on degenerate populations.
 // ---------------------------------------------------------------------------
 
+// Engines start from n >= 2 agents (BatchedDeathTest); churn can still
+// leave fewer, which these tests reach by removing agents.
+void remove_agents(BatchedSimulator<Epidemic>& sim, int state,
+                   std::uint64_t c) {
+  auto& config = sim.config();
+  config.remove_at(config.index_of(state), c);
+}
+
 TEST(CountsEdge, EmptyPopulationStepsAreCountedNoOps) {
-  Epidemic proto{0};
+  Epidemic proto{2};
   BatchedSimulator<Epidemic> sim(proto, 1);
+  remove_agents(sim, 1, 1);
+  remove_agents(sim, 0, 1);
   sim.step(100);
   EXPECT_EQ(sim.interactions(), 100u);
   EXPECT_EQ(sim.config().population_size(), 0u);
 }
 
 TEST(CountsEdge, EmptyPopulationRunUntilTerminates) {
-  Epidemic proto{0};
+  Epidemic proto{2};
   BatchedSimulator<Epidemic> sim(proto, 1);
+  remove_agents(sim, 1, 1);
+  remove_agents(sim, 0, 1);
   const auto result = sim.run_until(
       [](const CountsConfiguration<Epidemic>&, std::uint64_t) {
         return false;
@@ -324,8 +336,9 @@ TEST(CountsEdge, EmptyPopulationRunUntilTerminates) {
 }
 
 TEST(CountsEdge, SingleAgentNeverInteractsButCounts) {
-  Epidemic proto{1};
+  Epidemic proto{2};
   BatchedSimulator<Epidemic> sim(proto, 1);
+  remove_agents(sim, 0, 1);
   sim.step(50);
   EXPECT_EQ(sim.interactions(), 50u);
   EXPECT_EQ(sim.config().count_of(1), 1u);  // the lone infected agent

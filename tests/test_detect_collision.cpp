@@ -123,8 +123,7 @@ TEST(DetectCollision, DuplicateMessageImmediateError) {
   DcState a = dc_initial_state(p, 1);
   DcState b = dc_initial_state(p, 2);
   // Plant a copy of one of a's messages into b.
-  b.msgs[0].push_back(a.msgs[0].front());
-  std::sort(b.msgs[0].begin(), b.msgs[0].end());
+  b.msgs.insert(0, a.msgs[0].front());
   util::Rng rng(1);
   detect_collision(p, 1, a, 2, b, rng);
   EXPECT_TRUE(a.error);

@@ -158,7 +158,7 @@ TEST(EdgeCases, BalanceLoadHandlesManyContentClasses) {
   DcState a = dc_initial_state(p, 1);
   DcState b = dc_initial_state(p, 2);
   std::uint32_t content = 10;
-  for (auto& bucket : a.msgs) {
+  for (auto bucket : a.msgs) {
     for (auto& msg : bucket) msg.content = content++;
   }
   const std::uint32_t own = p.rank_in_group(1) - 1;
@@ -174,8 +174,8 @@ TEST(EdgeCases, UpdateMessagesWithEmptyBucketsIsSafe) {
   const Params p = Params::make(8, 4);
   DcState a = dc_initial_state(p, 1);
   DcState b = dc_initial_state(p, 2);
-  for (auto& bucket : a.msgs) bucket.clear();
-  for (auto& bucket : b.msgs) bucket.clear();
+  a.msgs.clear(a.msgs.size());
+  b.msgs.clear(b.msgs.size());
   util::Rng rng(7);
   for (int i = 0; i < 100; ++i) update_messages(p, 1, a, b, rng);
   EXPECT_EQ(dc_message_count(a), 0u);

@@ -541,5 +541,13 @@ TEST(Binomial, HugeTrialsTinyPStaysOnTheoryMean) {
   EXPECT_NEAR(mean, 1000.0, 5.0 * se);
 }
 
+TEST(LeapingDeathTest, RejectsPopulationsBelowTwo) {
+  EXPECT_EXIT({ LeapingSimulator<Epidemic> sim(Epidemic{1}, 1); },
+              ::testing::ExitedWithCode(2),
+              "leaping engine.*n=1 \\(field: n\\)");
+  EXPECT_EXIT({ LeapingSimulator<Epidemic> sim(Epidemic{0}, 1); },
+              ::testing::ExitedWithCode(2), "n=0 \\(field: n\\)");
+}
+
 }  // namespace
 }  // namespace ssle::pp

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "pp/population.hpp"
 
@@ -95,6 +96,26 @@ TEST(Simulator, ExplicitPopulationConstructor) {
   Population<Epidemic> pop(std::vector<int>{1, 1, 1, 1});
   Simulator<Epidemic> sim(proto, std::move(pop), 5);
   EXPECT_EQ(infected(sim.population()), 4);
+}
+
+// The uniform scheduler draws two distinct agents: the constructor rejects
+// smaller populations instead of leaving the first draw undefined.
+TEST(SimulatorDeathTest, RejectsPopulationsBelowTwo) {
+  EXPECT_EXIT({ Simulator<Epidemic> sim(Epidemic{1}, 1); },
+              ::testing::ExitedWithCode(2), "naive engine.*n=1 \\(field: n\\)");
+  EXPECT_EXIT(
+      {
+        Population<Epidemic> empty(std::vector<int>{});
+        Simulator<Epidemic> sim(Epidemic{4}, std::move(empty), 1);
+      },
+      ::testing::ExitedWithCode(2), "n=0 \\(field: n\\)");
+}
+
+TEST(SimulatorDeathTest, RejectsPopulationsPastThirtyTwoBitIndices) {
+  constexpr std::uint64_t kMax = Simulator<Epidemic>::kMaxAgents;
+  EXPECT_EQ(kMax, 0xFFFFFFFFull);
+  EXPECT_EXIT(require_population("naive", kMax + 1, kMax),
+              ::testing::ExitedWithCode(2), "n=4294967296 \\(field: n\\)");
 }
 
 }  // namespace
