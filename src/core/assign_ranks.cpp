@@ -221,8 +221,11 @@ void assign_ranks(const Params& params, ArState& u, ArState& v,
     labeling(params, u, v);
   }
 
-  // Protocol 7 lines 8–9: channel max-epidemic.
-  if (has_channel(u) && has_channel(v)) {
+  // Protocol 7 lines 8–9: channel max-epidemic.  The pass also sums the
+  // merged channel, which both agents now hold, for the sleep check below.
+  const bool merged = has_channel(u) && has_channel(v);
+  std::uint64_t merged_sum = 0;
+  if (merged) {
     if (u.channel.size() != v.channel.size()) {
       // Only possible from an adversarial configuration; normalize.
       u.channel.resize(params.r, 0);
@@ -232,13 +235,14 @@ void assign_ranks(const Params& params, ArState& u, ArState& v,
       const std::uint32_t mx = std::max(u.channel[i], v.channel[i]);
       u.channel[i] = mx;
       v.channel[i] = mx;
+      merged_sum += mx;
     }
   }
 
   // Protocol 7 lines 10–11: all n labels assigned → go to sleep.
   for (ArState* s : {&u, &v}) {
     if (has_channel(*s) && s->type != ArType::kSleeper &&
-        channel_sum(*s) == params.n) {
+        (merged ? merged_sum : channel_sum(*s)) == params.n) {
       become_sleeper(*s);
     }
   }

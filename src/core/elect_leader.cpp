@@ -15,7 +15,8 @@ ElectLeader::State ElectLeader::initial_state(std::uint32_t agent) const {
   return a;
 }
 
-void ElectLeader::interact(State& u, State& v, util::Rng& rng) const {
+void ElectLeader::interact_general(State& u, State& v,
+                                   util::Rng& rng) const {
   // Protocol 1 lines 1–2: resetters run PropagateReset (which may turn the
   // partner into a resetter, or resetters into rankers); then fall through.
   if (u.role == Role::kResetting) {

@@ -13,9 +13,11 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/agent.hpp"
 #include "core/params.hpp"
+#include "util/prefetch.hpp"
 #include "util/rng.hpp"
 
 namespace ssle::core {
@@ -33,8 +35,38 @@ class ElectLeader {
   /// countdown = C_max) — the awakening configuration of App. C.
   State initial_state(std::uint32_t agent) const;
 
-  /// Protocol 1.
-  void interact(State& u, State& v, util::Rng& rng) const;
+  /// Protocol 1.  Almost every interaction of a clean start meets two
+  /// ranked rankers whose countdowns are still running (C_max outlasts
+  /// AssignRanks, Lemma 6.2), and for them δ only ticks both countdowns:
+  /// no reset, AssignRanks is silent and no countdown reaches 0.  That
+  /// case is decided inline; every other pair takes interact_general().
+  void interact(State& u, State& v, util::Rng& rng) const {
+    if (u.role == Role::kRanking && v.role == Role::kRanking &&
+        u.ar.type == ArType::kRanked && v.ar.type == ArType::kRanked &&
+        u.countdown > 1 && v.countdown > 1) {
+      --u.countdown;
+      --v.countdown;
+      return;
+    }
+    interact_general(u, v, rng);
+  }
+
+  /// Protocol 1 for any pair, without the inline shortcut; interact()
+  /// must equal it on every pair of states.
+  void interact_general(State& u, State& v, util::Rng& rng) const;
+
+  /// Cache hint for the naive engine (pp::PrefetchHint).  A ranked ranker
+  /// needs nothing more: the inline case of interact() reads only the
+  /// State's leading fields, which this check has just loaded.  Any other
+  /// agent gets its whole State prefetched, plus the ranker's channel,
+  /// which AssignRanks merges on most interactions before the ranking is
+  /// silent.  Reads only.
+  void prefetch(const State& a) const {
+    if (a.role == Role::kRanking && a.ar.type == ArType::kRanked) return;
+    util::prefetch_lines(&a, sizeof(a));
+    const std::vector<std::uint32_t>& channel = a.ar.channel;
+    util::prefetch_lines(channel.data(), channel.size() * sizeof(channel[0]));
+  }
 
   // --- Output map ----------------------------------------------------------
   /// True iff the agent is currently marked as the leader.

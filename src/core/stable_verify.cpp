@@ -47,10 +47,8 @@ VerifyStats stable_verify_counted(const Params& params, Agent& u, Agent& v,
     detect_collision(params, u.rank, u.sv.dc, v.rank, v.sv.dc, rng);
 
     // Lines 5–9: react to ⊤.
-    bool any_error = false;
     for (Agent* a : {&u, &v}) {
       if (!a->sv.dc.error) continue;
-      any_error = true;
       if (params.soft_reset_enabled && a->sv.probation_timer == 0) {
         soft_reset(params, *a, a->sv.generation + 1);
         ++stats.soft_resets;
@@ -59,7 +57,6 @@ VerifyStats stable_verify_counted(const Params& params, Agent& u, Agent& v,
         ++stats.hard_resets;
       }
     }
-    if (any_error) return stats;
     return stats;
   }
 

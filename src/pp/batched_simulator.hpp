@@ -328,7 +328,7 @@ class BatchedSimulator {
     if (done(config_, interactions_)) {
       return {interactions_, true};
     }
-    const std::uint64_t limit = interactions_ + max_interactions;
+    const std::uint64_t limit = budget_limit(interactions_, max_interactions);
     while (interactions_ < limit) {
       const std::uint64_t chunk =
           std::min<std::uint64_t>(probe_every, limit - interactions_);

@@ -81,6 +81,27 @@ inline constexpr bool kNarrowRegistry = [] {
 template <typename P>
 concept LeapEligible = DeterministicDelta<P> && kNarrowRegistry<P>;
 
+/// True when P offers a cache hint, `void prefetch(const State&) const`.
+/// The naive engine calls it on both agents of a pair drawn a few
+/// interactions ahead, in place of its default of prefetching every line
+/// of both States, so P can prefetch exactly what δ will read: the State
+/// lines its next transition touches and any heap buffers they point to.
+/// The hook is a hint only: it may read the state but never writes it and
+/// draws no randomness, so a run is bit-identical with or without it.
+template <typename P>
+concept PrefetchHint = requires(const P& p, const typename P::State& s) {
+  { p.prefetch(s) };
+};
+
+/// The interaction count at which a `run_until` budget of `budget`
+/// interactions, started at `interactions`, runs out.  Saturates at
+/// 2^64 − 1, so an "unbounded" budget of ~0 never wraps below the start.
+inline std::uint64_t budget_limit(std::uint64_t interactions,
+                                  std::uint64_t budget) {
+  const std::uint64_t room = ~std::uint64_t{0} - interactions;
+  return budget > room ? ~std::uint64_t{0} : interactions + budget;
+}
+
 /// Engine-constructor precondition: the uniform scheduler draws two
 /// distinct agents, so every engine starts from n >= 2 agents, and the
 /// naive engine, which indexes agents with 32 bits, from n <= `max_n`.

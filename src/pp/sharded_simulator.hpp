@@ -189,7 +189,7 @@ class ShardedSimulator {
     if (inner_) return inner_->run_until(done, max_interactions, probe_every);
     if (probe_every == 0) probe_every = std::max<std::uint64_t>(1, n_);
     if (done(config(), interactions_)) return {interactions_, true};
-    const std::uint64_t limit = interactions_ + max_interactions;
+    const std::uint64_t limit = budget_limit(interactions_, max_interactions);
     while (interactions_ < limit) {
       const std::uint64_t chunk =
           std::min<std::uint64_t>(probe_every, limit - interactions_);

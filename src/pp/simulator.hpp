@@ -8,6 +8,9 @@
 // holds, giving stabilization measurements with ±probe_every granularity.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -17,6 +20,7 @@
 #include "pp/population.hpp"
 #include "pp/protocol.hpp"
 #include "pp/scheduler.hpp"
+#include "util/prefetch.hpp"
 
 namespace ssle::pp {
 
@@ -70,14 +74,28 @@ class Simulator {
     requires std::same_as<Sched, UniformScheduler>
       : Simulator(protocol, Population<P>(protocol), seed) {}
 
+  /// Pairs drawn ahead of the interaction being executed.
+  static constexpr std::size_t kLookahead = 16;
+
   /// Executes exactly `count` interactions.
+  ///
+  /// The scheduler runs up to kLookahead pairs ahead of δ, in an on-stack
+  /// ring, and never draws past `count`.  Schedulers do not read agent
+  /// states and δ draws from its own stream, so the run is bit-identical
+  /// to drawing each pair just before its interaction.  A pair entering
+  /// the ring has both agents prefetched (see prefetch()).
   void step(std::uint64_t count = 1) {
+    std::array<Pair, kLookahead> ring{};
+    const std::uint64_t primed = std::min<std::uint64_t>(count, kLookahead);
+    for (std::uint64_t j = 0; j < primed; ++j) ring[j] = draw();
     for (std::uint64_t i = 0; i < count; ++i) {
-      const Pair pair = scheduler_.next();
+      Pair& slot = ring[i % kLookahead];
+      const Pair pair = slot;
+      if (i + kLookahead < count) slot = draw();
       protocol_.interact(population_[pair.initiator],
                          population_[pair.responder], agent_rng_);
-      ++interactions_;
     }
+    interactions_ += count;
   }
 
   /// Runs until `done` holds at a probe, or `max_interactions` elapsed.
@@ -92,7 +110,7 @@ class Simulator {
     if (done(population_, interactions_)) {
       return {interactions_, true};
     }
-    const std::uint64_t limit = interactions_ + max_interactions;
+    const std::uint64_t limit = budget_limit(interactions_, max_interactions);
     while (interactions_ < limit) {
       const std::uint64_t chunk = std::min<std::uint64_t>(
           probe_every, limit - interactions_);
@@ -123,6 +141,23 @@ class Simulator {
   const P& protocol() const { return protocol_; }
 
  private:
+  Pair draw() {
+    const Pair pair = scheduler_.next();
+    prefetch(population_[pair.initiator]);
+    prefetch(population_[pair.responder]);
+    return pair;
+  }
+
+  /// Starts loading an agent that interacts kLookahead pairs from now: P's
+  /// hook when it has one (PrefetchHint), else every line of the State.
+  void prefetch(const typename P::State& state) const {
+    if constexpr (PrefetchHint<P>) {
+      protocol_.prefetch(state);
+    } else {
+      util::prefetch_lines(&state, sizeof(state));
+    }
+  }
+
   P protocol_;
   Population<P> population_;
   Sched scheduler_;

@@ -210,6 +210,50 @@ TEST(Sleep, SpreadsToNonSleeper) {
   EXPECT_EQ(recipient.type, ArType::kSleeper);
 }
 
+// Protocol 7 lines 10–11 read the channel sum after the max-merge: two
+// channels that only fill up once merged send both agents to sleep.
+TEST(Sleep, MergedChannelsThatSumToNSleepBoth) {
+  const Params p = Params::make(8, 2);
+  ArState a;
+  a.type = ArType::kRecipient;
+  a.label = {1, 1};
+  a.channel = {4, 0};
+  ArState b = a;
+  b.label = {2, 1};
+  b.channel = {0, 4};
+  util::Rng rng(1);
+  assign_ranks(p, a, b, rng);
+  EXPECT_EQ(a.channel, (std::vector<std::uint32_t>{4, 4}));
+  EXPECT_EQ(a.type, ArType::kSleeper);
+  EXPECT_EQ(b.type, ArType::kSleeper);
+
+  ArState c = a, d = b;
+  c.type = d.type = ArType::kRecipient;
+  c.channel = {3, 0};
+  d.channel = {0, 4};
+  assign_ranks(p, c, d, rng);
+  EXPECT_EQ(c.type, ArType::kRecipient);
+  EXPECT_EQ(d.type, ArType::kRecipient);
+}
+
+// Without a channel partner there is no merge, and the check reads the
+// agent's own channel.
+TEST(Sleep, FullChannelSleepsNextToARankedAgent) {
+  const Params p = Params::make(8, 2);
+  ArState recipient;
+  recipient.type = ArType::kRecipient;
+  recipient.label = {1, 1};
+  recipient.channel = {4, 4};
+  ArState ranked;
+  ranked.type = ArType::kRanked;
+  ranked.rank = 3;
+  const ArState ranked_before = ranked;
+  util::Rng rng(1);
+  assign_ranks(p, recipient, ranked, rng);
+  EXPECT_EQ(recipient.type, ArType::kSleeper);
+  EXPECT_EQ(ranked, ranked_before);
+}
+
 // --- End-to-end AssignRanks sweeps (Lemma D.1) -----------------------------
 
 class AssignRanksSweep

@@ -117,6 +117,20 @@ TEST(LeapingSimulator, RunUntilRespectsBudget) {
   EXPECT_EQ(result.interactions, 500u);
 }
 
+// An "unbounded" budget of ~0 must not wrap once the engine has stepped.
+TEST(LeapingSimulator, RunUntilUnboundedBudgetAfterStepping) {
+  Epidemic proto{8};
+  LeapingSimulator<Epidemic> sim(proto, 3);
+  sim.step(10);
+  const auto result = sim.run_until(
+      [](const CountsConfiguration<Epidemic>&, std::uint64_t t) {
+        return t >= 200;
+      },
+      ~std::uint64_t{0}, 50);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.interactions, 210u);
+}
+
 TEST(LeapingSimulator, EpidemicTableIsTwoByTwo) {
   Epidemic proto{64};
   LeapingSimulator<Epidemic> sim(proto, 2);

@@ -64,6 +64,21 @@ TEST(ShardedSimulator, StepCountsInteractionsExactlyAndConservesAgents) {
   EXPECT_EQ(sim.config().population_size(), 64u);
 }
 
+// An "unbounded" budget of ~0 must not wrap once the engine has stepped
+// (T = 4, so the sharded loop runs, not the batched one it wraps at T = 1).
+TEST(ShardedSimulator, RunUntilUnboundedBudgetAfterStepping) {
+  Epidemic proto{64};
+  ShardedSimulator<Epidemic> sim(proto, 3, /*shard_count=*/4);
+  sim.step(10);
+  const auto result = sim.run_until(
+      [](const CountsConfiguration<Epidemic>&, std::uint64_t t) {
+        return t >= 200;
+      },
+      ~std::uint64_t{0}, 50);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.interactions, 210u);
+}
+
 TEST(ShardedSimulator, EpidemicEventuallyInfectsAll) {
   Epidemic proto{64};
   ShardedSimulator<Epidemic> sim(proto, 2, /*shard_count=*/4);

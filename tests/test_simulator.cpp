@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "core/elect_leader.hpp"
+#include "core/params.hpp"
+#include "pp/graph.hpp"
 #include "pp/population.hpp"
+#include "util/rng.hpp"
 
 namespace ssle::pp {
 namespace {
@@ -116,6 +121,162 @@ TEST(SimulatorDeathTest, RejectsPopulationsPastThirtyTwoBitIndices) {
   EXPECT_EQ(kMax, 0xFFFFFFFFull);
   EXPECT_EXIT(require_population("naive", kMax + 1, kMax),
               ::testing::ExitedWithCode(2), "n=4294967296 \\(field: n\\)");
+}
+
+// An "unbounded" budget of ~0 must not wrap once the engine has stepped.
+TEST(Simulator, RunUntilUnboundedBudgetAfterStepping) {
+  Epidemic proto{8};
+  Simulator<Epidemic> sim(proto, 3);
+  sim.step(10);
+  const auto result = sim.run_until(
+      [](const Population<Epidemic>&, std::uint64_t t) { return t >= 200; },
+      ~std::uint64_t{0}, 50);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.interactions, 210u);
+}
+
+TEST(BudgetLimit, SaturatesInsteadOfWrapping) {
+  EXPECT_EQ(budget_limit(10, 5), 15u);
+  EXPECT_EQ(budget_limit(10, ~std::uint64_t{0}), ~std::uint64_t{0});
+  EXPECT_EQ(budget_limit(~std::uint64_t{0} - 3, 3), ~std::uint64_t{0});
+  EXPECT_EQ(budget_limit(~std::uint64_t{0} - 3, 4), ~std::uint64_t{0});
+}
+
+// --- Lookahead: step() runs the same stream as a one-pair-at-a-time loop ----
+
+/// The reference loop: draw one pair, run δ on it, repeat.  The engine's δ
+/// stream is substream(seed, 2).
+template <typename P, typename Sched>
+std::vector<typename P::State> hand_rolled(const P& protocol,
+                                           Population<P> population,
+                                           Sched scheduler, std::uint64_t seed,
+                                           std::uint64_t total) {
+  util::Rng rng(util::substream(seed, 2));
+  for (std::uint64_t i = 0; i < total; ++i) {
+    const Pair pair = scheduler.next();
+    protocol.interact(population[pair.initiator], population[pair.responder],
+                      rng);
+  }
+  return population.states();
+}
+
+/// `total` interactions through Simulator::step, in chunks of `chunk`.
+template <typename P, typename Sched>
+std::vector<typename P::State> chunked(const P& protocol,
+                                       Population<P> population,
+                                       Sched scheduler, std::uint64_t seed,
+                                       std::uint64_t total,
+                                       std::uint64_t chunk) {
+  Simulator<P, Sched> sim(protocol, std::move(population),
+                          std::move(scheduler), seed);
+  while (sim.interactions() < total) {
+    sim.step(std::min(chunk, total - sim.interactions()));
+  }
+  return sim.population().states();
+}
+
+/// Checks every chunk size around the lookahead depth against the
+/// reference loop; returns the reference configuration.
+template <typename P, typename Sched>
+std::vector<typename P::State> expect_stream_identity(
+    const P& protocol, const Sched& scheduler, std::uint64_t seed,
+    std::uint64_t total) {
+  static_assert(Simulator<P, Sched>::kLookahead == 16);
+  const auto expected =
+      hand_rolled(protocol, Population<P>(protocol), scheduler, seed, total);
+  for (const std::uint64_t chunk :
+       {std::uint64_t{1}, std::uint64_t{15}, std::uint64_t{16},
+        std::uint64_t{17}, std::uint64_t{1000},
+        std::uint64_t{protocol.population_size()}}) {
+    EXPECT_EQ(chunked(protocol, Population<P>(protocol), scheduler, seed,
+                      total, chunk),
+              expected)
+        << "chunk " << chunk;
+  }
+  return expected;
+}
+
+/// True when the epidemic is still spreading, so the configuration
+/// depends on the order the interactions ran in.
+bool mid_spread(const std::vector<int>& states) {
+  const auto ones = std::count(states.begin(), states.end(), 1);
+  return ones > 1 && ones < static_cast<long>(states.size());
+}
+
+TEST(SimulatorLookahead, ElectLeaderOnUniformSchedulerMatchesOnePairLoop) {
+  const core::Params p =
+      core::Params::make(64, 8, core::MessageMultiplicity::kLight);
+  const core::ElectLeader protocol(p);
+  const std::uint64_t seed = 17;
+  // Far enough for the run to reach verifiers and their message traffic.
+  expect_stream_identity(protocol,
+                         UniformScheduler(p.n, util::substream(seed, 1)),
+                         seed, 60007);
+}
+
+/// Toy protocol whose states depend on every interaction and its order:
+/// each agent folds its partner's state into a running hash.  An epidemic
+/// forgets most of its history (only the draws that infect matter), so
+/// Trail is what catches a skipped or repeated pair.
+struct Trail {
+  using State = std::uint64_t;
+  std::uint32_t n;
+  std::uint32_t population_size() const { return n; }
+  State initial_state(std::uint32_t agent) const { return agent; }
+  void interact(State& u, State& v, util::Rng&) const {
+    const State a = u;
+    u = a * 0x9e3779b97f4a7c15ull + v + 1;
+    v = v * 0xc2b2ae3d27d4eb4full + a + 2;
+  }
+};
+
+TEST(SimulatorLookahead, EpidemicOnGraphSchedulerMatchesOnePairLoop) {
+  const std::uint64_t seed = 5;
+  const GraphScheduler scheduler(Graph::cycle(64), util::substream(seed, 1));
+  EXPECT_TRUE(mid_spread(
+      expect_stream_identity(Epidemic{64}, scheduler, seed, 1003)));
+  expect_stream_identity(Trail{64}, scheduler, seed, 1003);
+}
+
+TEST(SimulatorLookahead, EpidemicOnBlockedSchedulerMatchesOnePairLoop) {
+  const std::uint64_t seed = 6;
+  const BlockedScheduler scheduler(
+      BlockedTopology::islands(64, 4, 1.0, 0.001), util::substream(seed, 1));
+  EXPECT_TRUE(mid_spread(
+      expect_stream_identity(Epidemic{64}, scheduler, seed, 1003)));
+  expect_stream_identity(Trail{64}, scheduler, seed, 1003);
+}
+
+/// ElectLeader without its prefetch hook.
+struct UnhintedElectLeader {
+  using State = core::Agent;
+  core::ElectLeader inner;
+  std::uint32_t population_size() const { return inner.population_size(); }
+  State initial_state(std::uint32_t agent) const {
+    return inner.initial_state(agent);
+  }
+  void interact(State& u, State& v, util::Rng& rng) const {
+    inner.interact(u, v, rng);
+  }
+};
+
+static_assert(PrefetchHint<core::ElectLeader>);
+static_assert(!PrefetchHint<UnhintedElectLeader>);
+static_assert(!PrefetchHint<Epidemic>);
+
+TEST(SimulatorLookahead, PrefetchHookDoesNotChangeTheRun) {
+  const core::Params p =
+      core::Params::make(64, 8, core::MessageMultiplicity::kLight);
+  const core::ElectLeader hinted(p);
+  const UnhintedElectLeader unhinted{core::ElectLeader(p)};
+  Simulator<core::ElectLeader> a(hinted, 23);
+  Simulator<UnhintedElectLeader> b(unhinted, 23);
+  for (int round = 0; round < 30; ++round) {
+    a.step(2000);
+    b.step(2000);
+    ASSERT_EQ(a.population().states(), b.population().states())
+        << "round " << round;
+  }
 }
 
 }  // namespace
