@@ -82,10 +82,10 @@ template <typename P>
 concept LeapEligible = DeterministicDelta<P> && kNarrowRegistry<P>;
 
 /// True when P offers a cache hint, `void prefetch(const State&) const`.
-/// The naive engine calls it on both agents of a pair drawn a few
-/// interactions ahead, in place of its default of prefetching every line
-/// of both States, so P can prefetch exactly what δ will read: the State
-/// lines its next transition touches and any heap buffers they point to.
+/// The naive engine then draws pairs a few interactions ahead and calls it
+/// on both agents of each, so P can prefetch exactly what δ will read: the
+/// State lines its next transition touches and any heap buffers they point
+/// to.  Without the hook the engine neither looks ahead nor prefetches.
 /// The hook is a hint only: it may read the state but never writes it and
 /// draws no randomness, so a run is bit-identical with or without it.
 template <typename P>

@@ -230,12 +230,19 @@ struct Trail {
   }
 };
 
+/// Trail with a prefetch hook, so step() runs it through the lookahead ring.
+struct HintedTrail : Trail {
+  void prefetch(const State&) const {}
+};
+static_assert(PrefetchHint<HintedTrail>);
+
 TEST(SimulatorLookahead, EpidemicOnGraphSchedulerMatchesOnePairLoop) {
   const std::uint64_t seed = 5;
   const GraphScheduler scheduler(Graph::cycle(64), util::substream(seed, 1));
   EXPECT_TRUE(mid_spread(
       expect_stream_identity(Epidemic{64}, scheduler, seed, 1003)));
   expect_stream_identity(Trail{64}, scheduler, seed, 1003);
+  expect_stream_identity(HintedTrail{{64}}, scheduler, seed, 1003);
 }
 
 TEST(SimulatorLookahead, EpidemicOnBlockedSchedulerMatchesOnePairLoop) {
@@ -245,6 +252,7 @@ TEST(SimulatorLookahead, EpidemicOnBlockedSchedulerMatchesOnePairLoop) {
   EXPECT_TRUE(mid_spread(
       expect_stream_identity(Epidemic{64}, scheduler, seed, 1003)));
   expect_stream_identity(Trail{64}, scheduler, seed, 1003);
+  expect_stream_identity(HintedTrail{{64}}, scheduler, seed, 1003);
 }
 
 /// ElectLeader without its prefetch hook.
