@@ -63,9 +63,6 @@ class DerandomizedElectLeader {
   /// pp::Protocol concept but never advanced).
   void interact(State& u, State& v, util::Rng& engine_rng) const;
 
-  /// The inner protocol's cache hint (pp::PrefetchHint).
-  void prefetch(const State& s) const { inner_.prefetch(s.agent); }
-
   static bool is_leader(const State& s) {
     return ElectLeader::is_leader(s.agent);
   }

@@ -13,11 +13,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/agent.hpp"
 #include "core/params.hpp"
-#include "util/prefetch.hpp"
 #include "util/rng.hpp"
 
 namespace ssle::core {
@@ -54,19 +52,6 @@ class ElectLeader {
   /// Protocol 1 for any pair, without the inline shortcut; interact()
   /// must equal it on every pair of states.
   void interact_general(State& u, State& v, util::Rng& rng) const;
-
-  /// Cache hint for the naive engine (pp::PrefetchHint).  A ranked ranker
-  /// needs nothing more: the inline case of interact() reads only the
-  /// State's leading fields, which this check has just loaded.  Any other
-  /// agent gets its whole State prefetched, plus the ranker's channel,
-  /// which AssignRanks merges on most interactions before the ranking is
-  /// silent.  Reads only.
-  void prefetch(const State& a) const {
-    if (a.role == Role::kRanking && a.ar.type == ArType::kRanked) return;
-    util::prefetch_lines(&a, sizeof(a));
-    const std::vector<std::uint32_t>& channel = a.ar.channel;
-    util::prefetch_lines(channel.data(), channel.size() * sizeof(channel[0]));
-  }
 
   // --- Output map ----------------------------------------------------------
   /// True iff the agent is currently marked as the leader.

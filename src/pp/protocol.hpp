@@ -81,18 +81,6 @@ inline constexpr bool kNarrowRegistry = [] {
 template <typename P>
 concept LeapEligible = DeterministicDelta<P> && kNarrowRegistry<P>;
 
-/// True when P offers a cache hint, `void prefetch(const State&) const`.
-/// The naive engine then draws pairs a few interactions ahead and calls it
-/// on both agents of each, so P can prefetch exactly what δ will read: the
-/// State lines its next transition touches and any heap buffers they point
-/// to.  Without the hook the engine neither looks ahead nor prefetches.
-/// The hook is a hint only: it may read the state but never writes it and
-/// draws no randomness, so a run is bit-identical with or without it.
-template <typename P>
-concept PrefetchHint = requires(const P& p, const typename P::State& s) {
-  { p.prefetch(s) };
-};
-
 /// The interaction count at which a `run_until` budget of `budget`
 /// interactions, started at `interactions`, runs out.  Saturates at
 /// 2^64 − 1, so an "unbounded" budget of ~0 never wraps below the start.

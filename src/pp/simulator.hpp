@@ -9,8 +9,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -73,36 +71,12 @@ class Simulator {
     requires std::same_as<Sched, UniformScheduler>
       : Simulator(protocol, Population<P>(protocol), seed) {}
 
-  /// Pairs drawn ahead of the interaction being executed, for a protocol
-  /// with a prefetch hook.
-  static constexpr std::size_t kLookahead = 16;
-
   /// Executes exactly `count` interactions.
-  ///
-  /// For a protocol with a prefetch hook (PrefetchHint), the scheduler runs
-  /// up to kLookahead pairs ahead of δ, in an on-stack ring, and never
-  /// draws past `count`; the hook sees both agents of a pair as it enters
-  /// the ring.  Schedulers do not read agent states and δ draws from its
-  /// own stream, so the run is bit-identical to drawing each pair just
-  /// before its interaction, which is what every other protocol does.
   void step(std::uint64_t count = 1) {
-    if constexpr (PrefetchHint<P>) {
-      std::array<Pair, kLookahead> ring{};
-      const std::uint64_t primed = std::min<std::uint64_t>(count, kLookahead);
-      for (std::uint64_t j = 0; j < primed; ++j) ring[j] = draw();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        Pair& slot = ring[i % kLookahead];
-        const Pair pair = slot;
-        if (i + kLookahead < count) slot = draw();
-        protocol_.interact(population_[pair.initiator],
-                           population_[pair.responder], agent_rng_);
-      }
-    } else {
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const Pair pair = scheduler_.next();
-        protocol_.interact(population_[pair.initiator],
-                           population_[pair.responder], agent_rng_);
-      }
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const Pair pair = scheduler_.next();
+      protocol_.interact(population_[pair.initiator],
+                         population_[pair.responder], agent_rng_);
     }
     interactions_ += count;
   }
@@ -150,15 +124,6 @@ class Simulator {
   const P& protocol() const { return protocol_; }
 
  private:
-  /// Draws a pair that interacts kLookahead pairs from now and lets P's
-  /// hook start loading both agents.
-  Pair draw() {
-    const Pair pair = scheduler_.next();
-    protocol_.prefetch(population_[pair.initiator]);
-    protocol_.prefetch(population_[pair.responder]);
-    return pair;
-  }
-
   P protocol_;
   Population<P> population_;
   Sched scheduler_;

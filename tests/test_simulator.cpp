@@ -142,7 +142,7 @@ TEST(BudgetLimit, SaturatesInsteadOfWrapping) {
   EXPECT_EQ(budget_limit(~std::uint64_t{0} - 3, 4), ~std::uint64_t{0});
 }
 
-// --- Lookahead: step() runs the same stream as a one-pair-at-a-time loop ----
+// --- Chunking: step() runs the same stream as a one-pair-at-a-time loop -----
 
 /// The reference loop: draw one pair, run δ on it, repeat.  The engine's δ
 /// stream is substream(seed, 2).
@@ -175,13 +175,12 @@ std::vector<typename P::State> chunked(const P& protocol,
   return sim.population().states();
 }
 
-/// Checks every chunk size around the lookahead depth against the
-/// reference loop; returns the reference configuration.
+/// Checks chunk sizes from 1 up to n against the reference loop; returns
+/// the reference configuration.
 template <typename P, typename Sched>
 std::vector<typename P::State> expect_stream_identity(
     const P& protocol, const Sched& scheduler, std::uint64_t seed,
     std::uint64_t total) {
-  static_assert(Simulator<P, Sched>::kLookahead == 16);
   const auto expected =
       hand_rolled(protocol, Population<P>(protocol), scheduler, seed, total);
   for (const std::uint64_t chunk :
@@ -203,7 +202,7 @@ bool mid_spread(const std::vector<int>& states) {
   return ones > 1 && ones < static_cast<long>(states.size());
 }
 
-TEST(SimulatorLookahead, ElectLeaderOnUniformSchedulerMatchesOnePairLoop) {
+TEST(SimulatorChunking, ElectLeaderOnUniformSchedulerMatchesOnePairLoop) {
   const core::Params p =
       core::Params::make(64, 8, core::MessageMultiplicity::kLight);
   const core::ElectLeader protocol(p);
@@ -230,61 +229,21 @@ struct Trail {
   }
 };
 
-/// Trail with a prefetch hook, so step() runs it through the lookahead ring.
-struct HintedTrail : Trail {
-  void prefetch(const State&) const {}
-};
-static_assert(PrefetchHint<HintedTrail>);
-
-TEST(SimulatorLookahead, EpidemicOnGraphSchedulerMatchesOnePairLoop) {
+TEST(SimulatorChunking, EpidemicOnGraphSchedulerMatchesOnePairLoop) {
   const std::uint64_t seed = 5;
   const GraphScheduler scheduler(Graph::cycle(64), util::substream(seed, 1));
   EXPECT_TRUE(mid_spread(
       expect_stream_identity(Epidemic{64}, scheduler, seed, 1003)));
   expect_stream_identity(Trail{64}, scheduler, seed, 1003);
-  expect_stream_identity(HintedTrail{{64}}, scheduler, seed, 1003);
 }
 
-TEST(SimulatorLookahead, EpidemicOnBlockedSchedulerMatchesOnePairLoop) {
+TEST(SimulatorChunking, EpidemicOnBlockedSchedulerMatchesOnePairLoop) {
   const std::uint64_t seed = 6;
   const BlockedScheduler scheduler(
       BlockedTopology::islands(64, 4, 1.0, 0.001), util::substream(seed, 1));
   EXPECT_TRUE(mid_spread(
       expect_stream_identity(Epidemic{64}, scheduler, seed, 1003)));
   expect_stream_identity(Trail{64}, scheduler, seed, 1003);
-  expect_stream_identity(HintedTrail{{64}}, scheduler, seed, 1003);
-}
-
-/// ElectLeader without its prefetch hook.
-struct UnhintedElectLeader {
-  using State = core::Agent;
-  core::ElectLeader inner;
-  std::uint32_t population_size() const { return inner.population_size(); }
-  State initial_state(std::uint32_t agent) const {
-    return inner.initial_state(agent);
-  }
-  void interact(State& u, State& v, util::Rng& rng) const {
-    inner.interact(u, v, rng);
-  }
-};
-
-static_assert(PrefetchHint<core::ElectLeader>);
-static_assert(!PrefetchHint<UnhintedElectLeader>);
-static_assert(!PrefetchHint<Epidemic>);
-
-TEST(SimulatorLookahead, PrefetchHookDoesNotChangeTheRun) {
-  const core::Params p =
-      core::Params::make(64, 8, core::MessageMultiplicity::kLight);
-  const core::ElectLeader hinted(p);
-  const UnhintedElectLeader unhinted{core::ElectLeader(p)};
-  Simulator<core::ElectLeader> a(hinted, 23);
-  Simulator<UnhintedElectLeader> b(unhinted, 23);
-  for (int round = 0; round < 30; ++round) {
-    a.step(2000);
-    b.step(2000);
-    ASSERT_EQ(a.population().states(), b.population().states())
-        << "round " << round;
-  }
 }
 
 }  // namespace
