@@ -4,9 +4,11 @@
 // checkpoints, journal heartbeats, and soak gates.
 //
 //   --n=, --r=, --seed=        population / parameter / seed
-//   --engine=<spec>            naive | batched | leaping | sharded[:T]
-//                              (leaping/sharded reroute loudly to batched:
-//                              fault injection mutates n between blocks)
+//   --engine=<name>            naive | batched | leaping (leaping reroutes
+//                              loudly to batched: fault injection mutates
+//                              n between blocks).  naive runs the
+//                              independent agent-array twin
+//                              (analysis::run_fault_plan_naive)
 //   --protocol=elect|loose     elect (default): ElectLeader_r — the paper's
 //                              protocol; recovery is a full re-stabilization
 //                              (Θ(n²/r·log n)), so thousand-cycle soaks are
@@ -36,9 +38,9 @@
 //                              ≥ --gate-cycles recovery cycles (default
 //                              1000), bounded registry allocation, and
 //                              last-decile recovery p95 ≤ 2× first-decile
-//   --legacy                   the original fixed availability-vs-rate
-//                              table on the naive engine (kept for
-//                              comparison with earlier reports)
+//
+// Availability vs fault rate on the naive twin, one point per run:
+//   --engine=naive --schedule=corrupt:periodic:<period>:<burst size>
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -64,66 +66,6 @@ namespace {
 
 using namespace ssle;
 
-int run_legacy(const core::Params& params, std::uint64_t seed,
-               obs::Journal* journal, const std::string& json_path) {
-  const std::uint32_t n = params.n;
-  const std::uint64_t recovery_scale = analysis::default_budget(params) / 20;
-  obs::Report doc("e2_churn", 8);
-  doc.set("n", static_cast<std::uint64_t>(params.n))
-      .set("r", static_cast<std::uint64_t>(params.r))
-      .set("horizon", 400 * recovery_scale);
-  auto rows = util::Json::array();
-
-  util::Table table({"burst period (interactions)", "burst size",
-                     "corrupted total", "leader avail %", "safe %"});
-  struct Point {
-    std::uint64_t period;
-    std::uint32_t size;
-  };
-  const Point points[] = {
-      {0, 0},
-      {64 * recovery_scale, 1},
-      {16 * recovery_scale, 1},
-      {4 * recovery_scale, 1},
-      {4 * recovery_scale, n / 4},
-      {1 * recovery_scale, n / 4},
-  };
-  for (const auto& point : points) {
-    analysis::ChurnSpec spec;
-    spec.burst_period = point.period;
-    spec.burst_size = point.size;
-    spec.horizon = 400 * recovery_scale;
-    spec.probe_every = n;
-    spec.journal = journal;
-    if (journal) {
-      auto boundary = util::Json::object();
-      boundary.set("burst_period", point.period);
-      boundary.set("burst_size", static_cast<std::uint64_t>(point.size));
-      journal->event("churn_point", std::move(boundary));
-    }
-    const auto report = analysis::run_churn(params, spec, seed);
-    table.add_row(
-        {point.period == 0 ? "none" : util::fmt_int(
-                                          static_cast<long long>(point.period)),
-         util::fmt_int(point.size),
-         util::fmt_int(static_cast<long long>(report.agents_corrupted)),
-         util::fmt(100.0 * report.leader_availability(), 1),
-         util::fmt(100.0 * report.safe_availability(), 1)});
-    auto row = util::Json::object();
-    row.set("burst_period", point.period);
-    row.set("burst_size", static_cast<std::uint64_t>(point.size));
-    row.set("agents_corrupted", report.agents_corrupted);
-    row.set("leader_availability", report.leader_availability());
-    row.set("safe_availability", report.safe_availability());
-    rows.push(std::move(row));
-  }
-  table.print(std::cout);
-  table.print_csv(std::cout);
-  doc.section("availability", std::move(rows));
-  doc.write_if(json_path, std::cout);
-  return 0;
-}
-
 std::uint64_t nearest_rank_p95(std::vector<std::uint64_t> v) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
@@ -134,14 +76,14 @@ std::uint64_t nearest_rank_p95(std::vector<std::uint64_t> v) {
 /// The loose-leader soak: LooseLeaderElection on the batched counts engine
 /// under the same FaultPlan machinery.  Its O(τ) registry and Θ(n·τ)
 /// recovery make long-cycle soaks tractable at n = 10^5–10^6.
-analysis::FaultReport run_loose_fault_plan(analysis::EngineSpec engine,
+analysis::FaultReport run_loose_fault_plan(analysis::Engine engine,
                                            const core::Params& params,
                                            const analysis::FaultPlan& plan,
                                            std::uint64_t seed,
                                            const analysis::FaultRunOptions& opts) {
   using Protocol = baselines::LooseLeaderElection;
   using State = Protocol::State;
-  if (static_cast<analysis::Engine>(engine) != analysis::Engine::kBatched) {
+  if (engine != analysis::Engine::kBatched) {
     std::fprintf(stderr,
                  "note: --protocol=loose is counts-native; routing "
                  "--engine=%s to the batched counts engine\n",
@@ -203,16 +145,6 @@ int main(int argc, char** argv) {
     jopts.every_interactions = 16 * probe_every;
     jopts.run = "e2_soak";
     journal = std::make_unique<obs::Journal>(std::move(jopts));
-  }
-
-  if (cli.has("legacy")) {
-    analysis::print_banner(
-        "E2 (extension: availability under churn)",
-        "Self-stabilization ⇒ the population re-converges after every fault "
-        "burst, forever",
-        "leader availability degrades gracefully with fault rate; zero churn "
-        "gives 100%");
-    return run_legacy(params, seed, journal.get(), json_path);
   }
 
   const auto engine = analysis::engine_from_string(

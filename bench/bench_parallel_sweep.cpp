@@ -69,18 +69,9 @@
 //       stay under 3% on the hottest path (--gate-perf turns a breach into
 //       a nonzero exit).
 //
-//   [9] Sharded single-run engine + flat sampler — the PR-9 A/B, three
-//       parts.  (a) T = 1 parity: --engine=sharded:1 delegates to a real
-//       BatchedSimulator, so a stabilization run must return the exact
-//       same result as --engine=batched — always gated, like section 1's
-//       determinism check.  (b) Flat-vs-Fenwick forced comparison on a
-//       small-q per-draw workload (LooseLeaderElection, q ≪ 64): the
-//       branchless cumulative scan must beat the Fenwick descent ≥ 1.3×
-//       (--gate-perf).  (c) The headline: one adversarial ElectLeader run
-//       at q ≈ n = --nfen, batched vs sharded:4 — the single-run speedup
-//       this PR exists for, gated ≥ 1.25× under --gate-perf when the host
-//       has ≥ 4 cores (loud skip otherwise; the honest measured ratio is
-//       reported and recorded either way).
+//   [9] Flat sampler — forced flat-vs-Fenwick block sampling on a small-q
+//       per-draw workload (LooseLeaderElection, q ≪ 64): the branchless
+//       cumulative scan must beat the Fenwick descent ≥ 1.3× (--gate-perf).
 //
 //   --n=64 --trials=8 --seed=7 --jobs=0 (0 = all cores)
 //   --ncross=1024 --cross-trials=1 --nbig=1000000
@@ -105,7 +96,6 @@
 #include "obs/report.hpp"
 #include "pp/batched_simulator.hpp"
 #include "pp/epidemic.hpp"
-#include "pp/sharded_simulator.hpp"
 #include "pp/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -771,45 +761,11 @@ int main(int argc, char** argv) {
     report.section("observability_overhead", std::move(s8));
   }
 
-  // [9] Sharded single-run engine + small-q flat sampler: the PR-9 A/B,
-  // three parts (parity, flat sampler, single-run speedup).
-  bool sharded_parity_ok = true;
+  // [9] Small-q flat sampler: forced flat vs Fenwick block sampling.
   bool flat_gate_ok = true;
-  bool sharded_gate_ok = true;
   {
-    // (a) T = 1 parity: --engine=sharded:1 delegates to a real
-    // BatchedSimulator, so a full adversarial stabilization must return
-    // the exact same result — interactions, leader count, and engine
-    // counters alike.  Always gated, like section 1's determinism check:
-    // if this breaks, the sharded engine's claim to exactness is void.
-    const core::Params p9 =
-        core::Params::make(2048, 64, core::MessageMultiplicity::kLight);
-    const auto budget9 = analysis::default_budget(p9);
-    const auto run_b = analysis::stabilize(
-        analysis::Engine::kBatched, analysis::StartKind::kAdversarial, p9,
-        core::Corruption::kRandomStates, seed + 9000, budget9);
-    const auto run_s = analysis::stabilize(
-        analysis::EngineSpec(analysis::Engine::kSharded, 1),
-        analysis::StartKind::kAdversarial, p9,
-        core::Corruption::kRandomStates, seed + 9000, budget9);
-    sharded_parity_ok =
-        run_b.converged == run_s.converged &&
-        run_b.interactions == run_s.interactions &&
-        run_b.leaders == run_s.leaders &&
-        run_b.metrics.blocks_dense == run_s.metrics.blocks_dense &&
-        run_b.metrics.blocks_fenwick == run_s.metrics.blocks_fenwick &&
-        run_b.metrics.blocks_flat == run_s.metrics.blocks_flat &&
-        run_b.metrics.collision_resolutions ==
-            run_s.metrics.collision_resolutions;
-    std::cout << "\n[9] Sharded engine + flat sampler:\n"
-              << "sharded:1 vs batched parity (ElectLeader n=" << p9.n
-              << ", random_states start, full stabilization): "
-              << (sharded_parity_ok ? "PASS" : "FAIL — BUG") << " ("
-              << run_s.interactions << " vs " << run_b.interactions
-              << " interactions)\n";
-
-    // (b) Flat vs Fenwick, forced, on a genuinely small-q per-draw
-    // workload: LooseLeaderElection with timeout_scale 1 keeps the live
+    // On a genuinely small-q per-draw workload: LooseLeaderElection with
+    // timeout_scale 1 keeps the live
     // registry at q = O(log n) ≪ 64 — exactly the regime kAuto hands to
     // the flat sampler — and its deterministic δ memoizes identically on
     // both runs, so the wall-clock delta is purely the block sampler
@@ -835,7 +791,8 @@ int main(int argc, char** argv) {
           std::min(flat_fen_s, loose_wall(pp::BlockSampling::kFenwick));
     }
     flat_gate_ok = 1.3 * flat_s <= flat_fen_s + 0.02;
-    std::cout << "flat vs fenwick, forced (LooseLeaderElection n=" << nfen
+    std::cout << "\n[9] Flat sampler:\n"
+              << "flat vs fenwick, forced (LooseLeaderElection n=" << nfen
               << ", q=" << flat_q << ", " << fen_interactions
               << " interactions): flat " << util::fmt(flat_s, 3)
               << "s vs fenwick " << util::fmt(flat_fen_s, 3) << "s — "
@@ -844,124 +801,28 @@ int main(int argc, char** argv) {
               << (flat_gate_ok ? "PASS" : "FAIL (flat scan too slow)")
               << "\n";
 
-    // (c) The headline: ONE adversarial ElectLeader run at q ≈ n = --nfen
-    // (the section-4 workload — per-draw Fenwick/flat territory, no dense
-    // bulk path, δ-cache useless), batched vs sharded:4, fixed work.
-    // Phases A–C go wide; the serial remainder (shard-label draws,
-    // collision resolution, merges) bounds the ratio per Amdahl, so the
-    // gate asks for 1.25× — the honest measured number is reported and
-    // recorded either way — and only on hosts with ≥ 4 cores.
-    const core::Params pf = core::Params::make(
-        nfen, std::min(64u, std::max(1u, nfen / 2)),
-        core::MessageMultiplicity::kLight);
-    util::Rng gen9(util::substream(seed + 9200, 77));
-    const auto adversarial9 = core::make_adversarial_config(
-        pf, core::Corruption::kRandomStates, gen9);
-    core::ElectLeader fproto(pf);
-    const std::size_t shard_t = 4;
-
-    const auto batched_one_run = [&] {
-      pp::CountsConfiguration<core::ElectLeader> counts(adversarial9);
-      pp::BatchedSimulator<core::ElectLeader> bsim(fproto, std::move(counts),
-                                                   seed + 9200);
-      const auto start_t = Clock::now();
-      bsim.step(fen_interactions);
-      return seconds_since(start_t);
-    };
-    obs::EngineMetrics shard_final;
-    const auto sharded_one_run = [&] {
-      pp::ShardedSimulator<core::ElectLeader> ssim(
-          fproto, pp::CountsConfiguration<core::ElectLeader>(adversarial9),
-          seed + 9200, shard_t);
-      const auto start_t = Clock::now();
-      ssim.step(fen_interactions);
-      const double w = seconds_since(start_t);
-      shard_final = ssim.metrics();
-      return w;
-    };
-    double batched_one_s = 1e300, sharded_s = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      batched_one_s = std::min(batched_one_s, batched_one_run());
-      sharded_s = std::min(sharded_s, sharded_one_run());
-    }
-    const double shard_speedup =
-        sharded_s > 0 ? batched_one_s / sharded_s : 0.0;
-    const unsigned cores = std::thread::hardware_concurrency();
-    const bool enough_cores = cores >= 4;
-
-    util::Table t9({"engine", "interactions", "wall_s", "Mint/s"});
-    const auto add9 = [&](const char* name, double wall) {
-      t9.add_row({name, util::fmt_int(static_cast<long long>(fen_interactions)),
-                  util::fmt(wall, 2),
-                  util::fmt(fen_interactions / 1e6 / std::max(1e-9, wall), 2)});
-    };
-    add9("batched (one run)", batched_one_s);
-    add9("sharded:4 (one run)", sharded_s);
-    std::cout << "single-run speedup at q ~ n (ElectLeader n=" << nfen
-              << ", r=" << pf.r << ", random_states start, fixed work):\n";
-    t9.print(std::cout);
-    t9.print_csv(std::cout);
-    std::cout << "cross-shard fraction "
-              << util::fmt(shard_final.interactions > 0
-                               ? static_cast<double>(
-                                     shard_final.cross_shard_interactions) /
-                                     static_cast<double>(
-                                         shard_final.interactions)
-                               : 0.0,
-                           3)
-              << " (expect ~ 1 - 1/T = 0.75), collisions "
-              << shard_final.collision_resolutions << "\n";
-    if (enough_cores) {
-      sharded_gate_ok = 1.25 * sharded_s <= batched_one_s + 0.02;
-      std::cout << "sharded:4 vs batched single-run speedup: "
-                << util::fmt(shard_speedup, 2) << "x — gate (>= 1.25x) "
-                << (sharded_gate_ok ? "PASS"
-                                    : "FAIL (sharding lost on this host)")
-                << "\n";
-    } else {
-      std::cout << "sharded:4 vs batched single-run speedup: "
-                << util::fmt(shard_speedup, 2) << "x — gate SKIPPED (host has "
-                << cores << " hardware threads; the gate needs >= 4)\n";
-    }
-
     auto s9 = util::Json::object();
-    s9.set("parity_n", static_cast<std::uint64_t>(p9.n));
-    s9.set("parity_ok", sharded_parity_ok);
     s9.set("flat_n", static_cast<std::uint64_t>(nfen));
     s9.set("flat_q", flat_q);
     s9.set("flat_interactions", static_cast<std::uint64_t>(fen_interactions));
     s9.set("flat_wall_s", flat_s);
     s9.set("fenwick_wall_s", flat_fen_s);
     s9.set("flat_gate_ok", flat_gate_ok);
-    s9.set("sharded_n", static_cast<std::uint64_t>(nfen));
-    s9.set("sharded_t", static_cast<std::uint64_t>(shard_t));
-    s9.set("hardware_threads", static_cast<std::uint64_t>(cores));
-    s9.set("batched_one_run_wall_s", batched_one_s);
-    s9.set("sharded_wall_s", sharded_s);
-    s9.set("sharded_speedup", shard_speedup);
-    s9.set("sharded_gate_applied", enough_cores);
-    s9.set("sharded_gate_ok", sharded_gate_ok);
-    s9.set("cross_shard_interactions", shard_final.cross_shard_interactions);
-    s9.set("intra_shard_interactions", shard_final.intra_shard_interactions);
-    s9.set("collision_resolutions", shard_final.collision_resolutions);
-    report.section("sharded_flat", std::move(s9));
+    report.section("flat_sampler", std::move(s9));
   }
 
   report.write_if(json_path, std::cout);
 
-  // The determinism check and the sharded:1 parity check are this binary's
-  // reason to exist — both fail loudly (CI runs it on every push).
+  // The determinism check is this binary's reason to exist — it fails
+  // loudly (CI runs it on every push).
   // --gate-perf additionally fails the run when the memoized engine
   // regresses on the epidemic workload, the leap engine loses law or
   // wall-clock parity with the batched engine, the lumped community engine
   // drifts from the naive blocked-scheduler law, the observability layer
-  // costs more than 3% on the hottest path, the flat sampler fails to beat
-  // the Fenwick descent by 1.3× at small q, or (on ≥ 4-core hosts) the
-  // sharded engine fails to beat the batched engine by 1.25× on a single
-  // adversarial run at q ≈ n.
-  return (ok && sharded_parity_ok &&
-          (!gate_perf || (gate_ok && leap_gate_ok && comm_gate_ok &&
-                          obs_gate_ok && flat_gate_ok && sharded_gate_ok)))
+  // costs more than 3% on the hottest path, or the flat sampler fails to
+  // beat the Fenwick descent by 1.3× at small q.
+  return (ok && (!gate_perf || (gate_ok && leap_gate_ok && comm_gate_ok &&
+                                obs_gate_ok && flat_gate_ok)))
              ? 0
              : 1;
 }

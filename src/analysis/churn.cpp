@@ -6,77 +6,12 @@
 #include "core/elect_leader.hpp"
 #include "core/safety.hpp"
 #include "core/snapshot.hpp"
-#include "obs/journal.hpp"
-#include "pp/scheduler.hpp"
 
 namespace ssle::analysis {
 
 [[noreturn]] void fault_plan_die(const std::string& message) {
   std::fprintf(stderr, "error: fault plan: %s\n", message.c_str());
   std::exit(2);
-}
-
-// --- legacy corruption loop -----------------------------------------------
-
-void validate_churn_spec(const ChurnSpec& spec, std::uint64_t n) {
-  if (spec.horizon == 0) {
-    fault_plan_die("a zero-interaction churn run measures nothing "
-                   "(field: horizon)");
-  }
-  if (spec.probe_every == 0) {
-    fault_plan_die("availability is measured at probes; probe_every must be "
-                   "positive (field: probe_every)");
-  }
-  if (spec.burst_size > n) {
-    fault_plan_die("a burst cannot corrupt more agents than the population "
-                   "holds: burst_size=" + std::to_string(spec.burst_size) +
-                   " > n=" + std::to_string(n) + " (field: burst_size)");
-  }
-}
-
-ChurnReport run_churn(const core::Params& params, const ChurnSpec& spec,
-                      std::uint64_t seed) {
-  validate_churn_spec(spec, params.n);
-  core::ElectLeader protocol(params);
-  auto config = core::make_safe_config(params);
-  pp::UniformScheduler sched(params.n, util::substream(seed, 1));
-  util::Rng agent_rng(util::substream(seed, 2));
-  util::Rng fault_rng(util::substream(seed, 3));
-
-  ChurnReport report;
-  for (std::uint64_t t = 1; t <= spec.horizon; ++t) {
-    const auto [a, b] = sched.next();
-    protocol.interact(config[a], config[b], agent_rng);
-
-    if (spec.burst_period != 0 && t % spec.burst_period == 0) {
-      ++report.bursts;
-      for (std::uint32_t k = 0; k < spec.burst_size; ++k) {
-        const auto victim =
-            static_cast<std::uint32_t>(fault_rng.below(params.n));
-        config[victim] = core::random_agent(params, fault_rng);
-        ++report.agents_corrupted;
-      }
-    }
-
-    if (t % spec.probe_every == 0) {
-      ++report.probes;
-      report.probes_with_unique_leader +=
-          core::leader_count(config) == 1 ? 1 : 0;
-      report.probes_safe +=
-          core::is_safe_configuration(params, config) ? 1 : 0;
-      if (spec.journal != nullptr) {
-        // The churn loop drives agents directly (no Simulator), so it
-        // reports the naive engine's counter shape itself.
-        obs::EngineMetrics m;
-        m.engine = "naive";
-        m.interactions = t;
-        m.interactions_iterated = t;
-        m.population = params.n;
-        spec.journal->tick(t, m);
-      }
-    }
-  }
-  return report;
 }
 
 // --- FaultPlan validation and the --schedule grammar ----------------------
@@ -381,21 +316,18 @@ std::optional<FaultCursor> fault_cursor_from_json(const util::Json& j) {
 
 // --- the ElectLeader_r entry ----------------------------------------------
 
-FaultReport run_fault_plan(EngineSpec engine, const core::Params& params,
+FaultReport run_fault_plan(Engine engine, const core::Params& params,
                            const FaultPlan& plan, std::uint64_t seed,
                            const FaultRunOptions& opts) {
   core::ElectLeader protocol(params);
-  Engine kind = engine.kind;
-  if (kind == Engine::kLeaping || kind == Engine::kSharded) {
+  if (engine == Engine::kLeaping) {
     std::fprintf(stderr,
                  "note: fault injection mutates the population between "
-                 "blocks; routing --engine=%s to the batched counts "
-                 "engine\n",
-                 engine_name(kind));
-    kind = Engine::kBatched;
+                 "blocks; routing --engine=leaping to the batched counts "
+                 "engine\n");
   }
 
-  if (kind == Engine::kNaive) {
+  if (engine == Engine::kNaive) {
     NaiveFaultModel<core::ElectLeader> model;
     model.corrupt_state = [&params](util::Rng& rng) {
       return core::random_agent(params, rng);

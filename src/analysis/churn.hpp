@@ -3,23 +3,18 @@
 // operational consequence of self-stabilization (the protocol re-converges
 // after every fault, forever, without external intervention).
 //
-// Two layers:
-//
-//   * ChurnSpec / run_churn — the original naive-engine corruption loop,
-//     kept as the independently-written reference law for parity tests.
-//
-//   * FaultPlan — the engine-generic schedule language.  A plan is a list
-//     of FaultRules (action × timing × burst size) plus an optional
-//     battery-dropout model, validated hard (exit 2 naming the offending
-//     field) and runnable on
-//       - the batched counts engine (run_fault_plan_counts): faults are
-//         O(log q) registry edits (pp::CountsConfiguration::insert_agent /
-//         remove_agent) between blocks, so a churn soak runs at
-//         n = 10^5–10^6; counts-native probes; crash-safe checkpoints
-//         (obs/checkpoint.hpp) with the full fault cursor on board;
-//       - the naive agent-array engine (run_fault_plan_naive): an
-//         independent twin over std::vector<State>, used to pin the counts
-//         runner's law at tiny n (TV-distance tests).
+// FaultPlan is the engine-generic schedule language.  A plan is a list of
+// FaultRules (action × timing × burst size) plus an optional
+// battery-dropout model, validated hard (exit 2 naming the offending field)
+// and runnable on
+//   - the batched counts engine (run_fault_plan_counts): faults are
+//     O(log q) registry edits (pp::CountsConfiguration::insert_agent /
+//     remove_agent) between blocks, so a churn soak runs at n = 10^5–10^6;
+//     counts-native probes; crash-safe checkpoints (obs/checkpoint.hpp)
+//     with the full fault cursor on board;
+//   - the naive agent-array engine (run_fault_plan_naive): an independent
+//     twin over std::vector<State>, the reference law that pins the counts
+//     runner at tiny n (TV-distance tests).
 //
 // Timing kinds:
 //   periodic — fire every `period` interactions;
@@ -67,53 +62,6 @@
 #include "util/rng.hpp"
 
 namespace ssle::analysis {
-
-// --- legacy corruption loop (reference law) -------------------------------
-
-struct ChurnSpec {
-  /// Interactions between fault bursts (0 = no churn).
-  std::uint64_t burst_period = 0;
-  /// Agents corrupted per burst (re-randomized via core::random_agent).
-  std::uint32_t burst_size = 0;
-  /// Total interactions to simulate.
-  std::uint64_t horizon = 0;
-  /// Interactions between availability probes.
-  std::uint64_t probe_every = 0;
-  /// Optional run journal (obs/journal.hpp): a heartbeat per probe, so
-  /// long soak runs are observable while they churn.
-  obs::Journal* journal = nullptr;
-};
-
-struct ChurnReport {
-  std::uint64_t probes = 0;
-  std::uint64_t probes_with_unique_leader = 0;
-  std::uint64_t probes_safe = 0;
-  std::uint64_t bursts = 0;
-  std::uint64_t agents_corrupted = 0;
-
-  /// Fraction of probes with exactly one leader present.
-  double leader_availability() const {
-    return probes == 0 ? 0.0
-                       : static_cast<double>(probes_with_unique_leader) /
-                             static_cast<double>(probes);
-  }
-  /// Fraction of probes in a provably safe configuration.
-  double safe_availability() const {
-    return probes == 0
-               ? 0.0
-               : static_cast<double>(probes_safe) / static_cast<double>(probes);
-  }
-};
-
-/// Rejects an unrunnable spec with exit(2) naming the field: horizon = 0,
-/// probe_every = 0 (a churn run that never probes measures nothing), and
-/// burst_size > n.
-void validate_churn_spec(const ChurnSpec& spec, std::uint64_t n);
-
-/// Runs ElectLeader_r from a safe configuration under the given churn on
-/// the naive engine.  Validates the spec first (exit 2 on bad fields).
-ChurnReport run_churn(const core::Params& params, const ChurnSpec& spec,
-                      std::uint64_t seed);
 
 // --- FaultPlan: the engine-generic schedule language ----------------------
 
@@ -166,8 +114,8 @@ FaultPlan parse_fault_plan(const std::string& spec, std::uint64_t horizon,
 /// guard is re-checked dynamically as the population moves.
 void validate_fault_plan(const FaultPlan& plan, std::uint64_t n);
 
-/// One fault-plan run's outcome.  Availability is probe-grid-based like
-/// ChurnReport; recovery_times holds one sample per completed cycle.
+/// One fault-plan run's outcome.  Availability is the fraction of probes
+/// that pass; recovery_times holds one sample per completed cycle.
 struct FaultReport {
   std::uint64_t probes = 0;
   std::uint64_t probes_safe = 0;
@@ -255,10 +203,10 @@ struct NaiveFaultModel {
 
 /// Runs ElectLeader_r from a safe configuration under `plan` on the chosen
 /// engine.  kBatched is the native path (counts edits + counts probes +
-/// checkpoints); kNaive is the reference twin; kLeaping and kSharded
-/// reroute loudly to kBatched (fault injection mutates the population
-/// between blocks, which only the single-engine batched path supports).
-FaultReport run_fault_plan(EngineSpec engine, const core::Params& params,
+/// checkpoints); kNaive is the reference twin; kLeaping reroutes loudly to
+/// kBatched (fault injection mutates the population between blocks, which
+/// the leap engine's windows do not support).
+FaultReport run_fault_plan(Engine engine, const core::Params& params,
                            const FaultPlan& plan, std::uint64_t seed,
                            const FaultRunOptions& opts = {});
 
@@ -538,8 +486,8 @@ FaultReport run_fault_plan_counts(
     if (stop > cur.t) sim.step(stop - cur.t);
     cur.t = stop;
 
-    // Faults due now run BEFORE the probe at the same instant (matching
-    // the legacy run_churn ordering: burst, then probe).
+    // Faults due now run BEFORE the probe at the same instant: burst, then
+    // probe.
     for (std::size_t i = 0; i < plan.rules.size(); ++i) {
       if (cur.next[i] != cur.t) continue;
       const FaultRule& rule = plan.rules[i];

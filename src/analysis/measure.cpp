@@ -17,7 +17,6 @@
 #include "pp/epidemic.hpp"
 #include "pp/graph.hpp"
 #include "pp/leaping_simulator.hpp"
-#include "pp/sharded_simulator.hpp"
 #include "pp/simulator.hpp"
 
 namespace ssle::analysis {
@@ -29,247 +28,11 @@ std::uint64_t default_budget(const core::Params& params) {
   return static_cast<std::uint64_t>(150.0 * (n * n / r) * L) + 200000;
 }
 
-StabilizationResult stabilize_from(const core::Params& params,
-                                   std::vector<core::Agent> config,
-                                   std::uint64_t seed,
-                                   std::uint64_t max_interactions,
-                                   const ProbeOptions& probes) {
-  if (!probes.checkpoint_path.empty()) {
-    std::fprintf(stderr,
-                 "note: checkpoints are counts-native; the naive engine "
-                 "runs uncheckpointed\n");
-  }
-  core::ElectLeader protocol(params);
-  pp::Population<core::ElectLeader> population(std::move(config));
-  pp::Simulator<core::ElectLeader> sim(protocol, std::move(population), seed);
-
-  const auto probe = [&](const pp::Population<core::ElectLeader>& pop,
-                         std::uint64_t t) {
-    if (probes.trace) probes.trace->record(t, pop.states());
-    if (probes.journal) probes.journal->tick(t, sim.metrics());
-    return core::is_safe_configuration(params, pop.states());
-  };
-  const auto run =
-      sim.run_until(probe, max_interactions,
-                    probes.probe_every ? probes.probe_every : params.n);
-
-  StabilizationResult res;
-  res.converged = run.converged;
-  res.interactions = run.interactions;
-  res.parallel_time = run.parallel_time(params.n);
-  res.leaders = core::leader_count(sim.population().states());
-  res.metrics = sim.metrics();
-  return res;
-}
-
 namespace {
 
-/// Checkpoint identity + codec for the ElectLeader_r counts engines
-/// (ProbeOptions.checkpoint_*): the protocol label restore checks, and the
-/// per-state snapshot stanza codec (core/snapshot.hpp).
-constexpr const char* kElectLeaderLabel = "elect_leader";
-
-std::string encode_elect_leader(const core::Agent& a) {
-  return core::snapshot_write_agent(a);
-}
-
-std::optional<core::Agent> decode_elect_leader(const std::string& text) {
-  return core::snapshot_read_agent(text);
-}
-
-/// Shared ProbeOptions.checkpoint_* plumbing for the counts engines: call
-/// resume() before run_until (it loads an existing checkpoint, restores the
-/// engine, and shrinks the remaining budget), and on_probe(t) from the
-/// probe lambda (it saves every checkpoint_every interactions).
-template <typename Sim>
-class StabilizeCheckpointer {
- public:
-  StabilizeCheckpointer(Sim& sim, const ProbeOptions& probes)
-      : sim_(sim), probes_(probes) {}
-
-  void resume(std::uint64_t* max_interactions) {
-    if (!enabled()) return;
-    auto doc = obs::checkpoint_load(probes_.checkpoint_path);
-    if (!doc) return;  // nothing saved yet: a fresh run
-    if (!obs::restore_checkpoint(sim_, *doc, kElectLeaderLabel,
-                                 decode_elect_leader)) {
-      std::fprintf(stderr,
-                   "error: checkpoint at %s does not restore into this "
-                   "engine/protocol\n",
-                   probes_.checkpoint_path.c_str());
-      std::exit(2);
-    }
-    last_saved_ = sim_.interactions();
-    // run_until budgets are relative to the engine's interaction count:
-    // a resumed run only owes the remainder of the original budget.
-    *max_interactions -= std::min(*max_interactions, sim_.interactions());
-  }
-
-  void on_probe(std::uint64_t t) {
-    if (!enabled() || t < last_saved_ + probes_.checkpoint_every) return;
-    auto doc = obs::make_checkpoint(sim_, kElectLeaderLabel,
-                                    encode_elect_leader);
-    if (obs::checkpoint_save(probes_.checkpoint_path, doc)) last_saved_ = t;
-  }
-
- private:
-  bool enabled() const {
-    return !probes_.checkpoint_path.empty() && probes_.checkpoint_every > 0;
-  }
-
-  Sim& sim_;
-  const ProbeOptions& probes_;
-  std::uint64_t last_saved_ = 0;
-};
-
-/// Batched-engine counterpart of stabilize_from: advances a counts
-/// configuration until the (counts-native) safe predicate holds.
-StabilizationResult stabilize_counts_from(
-    const core::Params& params,
-    pp::CountsConfiguration<core::ElectLeader> config, std::uint64_t seed,
-    std::uint64_t max_interactions, const ProbeOptions& probes) {
-  core::ElectLeader protocol(params);
-  pp::BatchedSimulator<core::ElectLeader> sim(protocol, std::move(config),
-                                              seed);
-  StabilizeCheckpointer checkpointer(sim, probes);
-  checkpointer.resume(&max_interactions);
-
-  const auto probe = [&](const pp::CountsConfiguration<core::ElectLeader>& c,
-                         std::uint64_t t) {
-    if (probes.trace) probes.trace->record(t, c);
-    if (probes.journal) probes.journal->tick(t, sim.metrics());
-    // Safety first: saving canonicalizes the engine, which may rebuild the
-    // very configuration `c` refers to.
-    const bool safe = core::is_safe_configuration(params, c);
-    checkpointer.on_probe(t);
-    return safe;
-  };
-  const auto run =
-      sim.run_until(probe, max_interactions,
-                    probes.probe_every ? probes.probe_every : params.n);
-
-  StabilizationResult res;
-  res.converged = run.converged;
-  res.interactions = run.interactions;
-  res.parallel_time = run.parallel_time(params.n);
-  res.leaders = static_cast<std::uint32_t>(
-      sim.config().count_if(core::ElectLeader::is_leader));
-  res.metrics = sim.metrics();
-  return res;
-}
-
-/// Sharded-engine counterpart of stabilize_counts_from: the same counts
-/// configuration, partitioned over `shards` worker shards
-/// (pp::ShardedSimulator).  Probes observe the settled merged
-/// configuration, so the predicate and census code are shared verbatim.
-StabilizationResult stabilize_sharded_counts_from(
-    const core::Params& params,
-    pp::CountsConfiguration<core::ElectLeader> config, std::uint64_t seed,
-    std::uint64_t max_interactions, const ProbeOptions& probes,
-    std::size_t shards) {
-  core::ElectLeader protocol(params);
-  pp::ShardedSimulator<core::ElectLeader> sim(protocol, std::move(config),
-                                              seed, shards);
-  StabilizeCheckpointer checkpointer(sim, probes);
-  checkpointer.resume(&max_interactions);
-
-  const auto probe = [&](const pp::CountsConfiguration<core::ElectLeader>& c,
-                         std::uint64_t t) {
-    if (probes.trace) probes.trace->record(t, c);
-    if (probes.journal) probes.journal->tick(t, sim.metrics());
-    // Safety first: saving canonicalizes the engine, which may rebuild the
-    // very configuration `c` refers to.
-    const bool safe = core::is_safe_configuration(params, c);
-    checkpointer.on_probe(t);
-    return safe;
-  };
-  const auto run =
-      sim.run_until(probe, max_interactions,
-                    probes.probe_every ? probes.probe_every : params.n);
-
-  StabilizationResult res;
-  res.converged = run.converged;
-  res.interactions = run.interactions;
-  res.parallel_time = run.parallel_time(params.n);
-  res.leaders = static_cast<std::uint32_t>(
-      sim.config().count_if(core::ElectLeader::is_leader));
-  res.metrics = sim.metrics();
-  return res;
-}
-
-/// The protocol's clean initial configuration as a per-agent array.
-std::vector<core::Agent> clean_config(const core::Params& params) {
-  core::ElectLeader protocol(params);
-  std::vector<core::Agent> config;
-  config.reserve(params.n);
-  for (std::uint32_t i = 0; i < params.n; ++i) {
-    config.push_back(protocol.initial_state(i));
-  }
-  return config;
-}
-
-}  // namespace
-
-StabilizationResult stabilize(EngineSpec engine, StartKind start,
-                              const core::Params& params,
-                              core::Corruption corruption, std::uint64_t seed,
-                              std::uint64_t max_interactions,
-                              const ProbeOptions& probes) {
-  if (start == StartKind::kClean) {
-    if (engine == Engine::kNaive) {
-      return stabilize_from(params, clean_config(params), seed,
-                            max_interactions, probes);
-    }
-    core::ElectLeader protocol(params);
-    if (engine == Engine::kSharded) {
-      return stabilize_sharded_counts_from(
-          params, pp::CountsConfiguration<core::ElectLeader>(protocol), seed,
-          max_interactions, probes, engine.shards);
-    }
-    // kBatched and kLeaping both take the counts path: ElectLeader_r draws
-    // randomness in δ, so it is not leap-eligible (pp::LeapEligible) and a
-    // leap request degrades to the nearest exact engine (documented in
-    // measure.hpp; the routing is pinned by a test).
-    return stabilize_counts_from(
-        params, pp::CountsConfiguration<core::ElectLeader>(protocol), seed,
-        max_interactions, probes);
-  }
-
-  // Adversarial start: both engines draw the same configuration from the
-  // same seed-derived stream (substream 77, distinct from the simulation
-  // streams), so the start distribution — in fact the start itself — is
-  // engine-independent.
-  util::Rng rng(util::substream(seed, 77));
-  auto config = core::make_adversarial_config(params, corruption, rng);
-  if (engine == Engine::kNaive) {
-    return stabilize_from(params, std::move(config), seed, max_interactions,
-                          probes);
-  }
-  // Project the per-agent array onto state counts; only the multiset
-  // survives into the simulation (any agent labelling is dynamics-
-  // equivalent under the uniform scheduler).
-  pp::CountsConfiguration<core::ElectLeader> counts(config);
-  if (engine == Engine::kSharded) {
-    return stabilize_sharded_counts_from(params, std::move(counts), seed,
-                                         max_interactions, probes,
-                                         engine.shards);
-  }
-  return stabilize_counts_from(params, std::move(counts), seed,
-                               max_interactions, probes);
-}
-
-StabilizationResult stabilize(EngineSpec engine, const core::Params& params,
-                              std::uint64_t seed,
-                              std::uint64_t max_interactions) {
-  return stabilize(engine, StartKind::kClean, params, core::Corruption::kNone,
-                   seed, max_interactions);
-}
-
-namespace {
-
-/// Naive-engine stabilization under an explicit scheduler (BlockedScheduler
-/// for blocked topologies, GraphScheduler for the ring) — the agent-array
-/// twin of stabilize_from.
+/// Naive-engine stabilization under an explicit scheduler: UniformScheduler
+/// on the complete graph, BlockedScheduler for blocked topologies,
+/// GraphScheduler for the ring.
 template <typename Sched>
 StabilizationResult stabilize_population(const core::Params& params,
                                          std::vector<core::Agent> config,
@@ -298,6 +61,78 @@ StabilizationResult stabilize_population(const core::Params& params,
   res.leaders = core::leader_count(sim.population().states());
   res.metrics = sim.metrics();
   return res;
+}
+
+/// Batched-engine counterpart of stabilize_population: advances a counts
+/// configuration until the (counts-native) safe predicate holds.  Handles
+/// ProbeOptions.checkpoint_*: it resumes from an existing checkpoint at
+/// the path and saves one every checkpoint_every interactions.
+StabilizationResult stabilize_counts_from(
+    const core::Params& params,
+    pp::CountsConfiguration<core::ElectLeader> config, std::uint64_t seed,
+    std::uint64_t max_interactions, const ProbeOptions& probes) {
+  // The protocol label a restore checks.
+  constexpr const char* kLabel = "elect_leader";
+  core::ElectLeader protocol(params);
+  pp::BatchedSimulator<core::ElectLeader> sim(protocol, std::move(config),
+                                              seed);
+  const bool checkpointing =
+      !probes.checkpoint_path.empty() && probes.checkpoint_every > 0;
+  std::uint64_t last_saved = 0;
+  if (checkpointing) {
+    if (auto doc = obs::checkpoint_load(probes.checkpoint_path)) {
+      if (!obs::restore_checkpoint(sim, *doc, kLabel,
+                                   core::snapshot_read_agent)) {
+        std::fprintf(stderr,
+                     "error: checkpoint at %s does not restore into this "
+                     "engine/protocol\n",
+                     probes.checkpoint_path.c_str());
+        std::exit(2);
+      }
+      last_saved = sim.interactions();
+      // run_until budgets are relative to the engine's interaction count:
+      // a resumed run only owes the remainder of the original budget.
+      max_interactions -= std::min(max_interactions, sim.interactions());
+    }
+  }
+
+  const auto probe = [&](const pp::CountsConfiguration<core::ElectLeader>& c,
+                         std::uint64_t t) {
+    if (probes.trace) probes.trace->record(t, c);
+    if (probes.journal) probes.journal->tick(t, sim.metrics());
+    // Safety first: saving canonicalizes the engine, which may rebuild the
+    // very configuration `c` refers to.
+    const bool safe = core::is_safe_configuration(params, c);
+    if (checkpointing && t >= last_saved + probes.checkpoint_every) {
+      const auto doc =
+          obs::make_checkpoint(sim, kLabel, core::snapshot_write_agent);
+      if (obs::checkpoint_save(probes.checkpoint_path, doc)) last_saved = t;
+    }
+    return safe;
+  };
+  const auto run =
+      sim.run_until(probe, max_interactions,
+                    probes.probe_every ? probes.probe_every : params.n);
+
+  StabilizationResult res;
+  res.converged = run.converged;
+  res.interactions = run.interactions;
+  res.parallel_time = run.parallel_time(params.n);
+  res.leaders = static_cast<std::uint32_t>(
+      sim.config().count_if(core::ElectLeader::is_leader));
+  res.metrics = sim.metrics();
+  return res;
+}
+
+/// The protocol's clean initial configuration as a per-agent array.
+std::vector<core::Agent> clean_config(const core::Params& params) {
+  core::ElectLeader protocol(params);
+  std::vector<core::Agent> config;
+  config.reserve(params.n);
+  for (std::uint32_t i = 0; i < params.n; ++i) {
+    config.push_back(protocol.initial_state(i));
+  }
+  return config;
 }
 
 /// Lumped-engine stabilization on a blocked topology: the batched engine's
@@ -366,28 +201,65 @@ Engine route_topology_engine(Engine engine, const Topology& topology) {
 
 }  // namespace
 
-StabilizationResult stabilize(EngineSpec engine, StartKind start,
+StabilizationResult stabilize_from(const core::Params& params,
+                                   std::vector<core::Agent> config,
+                                   std::uint64_t seed,
+                                   std::uint64_t max_interactions,
+                                   const ProbeOptions& probes) {
+  if (!probes.checkpoint_path.empty()) {
+    std::fprintf(stderr,
+                 "note: checkpoints are counts-native; the naive engine "
+                 "runs uncheckpointed\n");
+  }
+  const auto n = static_cast<std::uint32_t>(config.size());
+  return stabilize_population(params, std::move(config),
+                              pp::UniformScheduler(n, util::substream(seed, 1)),
+                              seed, max_interactions, probes);
+}
+
+StabilizationResult stabilize(Engine engine, StartKind start,
                               const core::Params& params,
                               core::Corruption corruption, std::uint64_t seed,
                               std::uint64_t max_interactions,
                               const Topology& topology,
                               const ProbeOptions& probes) {
-  if (topology.kind == Topology::Kind::kComplete) {
-    // The classical model: the uniform paths, byte-for-byte.
-    return stabilize(engine, start, params, corruption, seed, max_interactions,
-                     probes);
+  const bool complete = topology.kind == Topology::Kind::kComplete;
+  if (complete && start == StartKind::kClean && engine != Engine::kNaive) {
+    // kBatched and kLeaping both take the counts path: ElectLeader_r draws
+    // randomness in δ, so it is not leap-eligible (pp::LeapEligible) and a
+    // leap request degrades to the nearest exact engine (documented in
+    // measure.hpp; the routing is pinned by a test).
+    core::ElectLeader protocol(params);
+    return stabilize_counts_from(
+        params, pp::CountsConfiguration<core::ElectLeader>(protocol), seed,
+        max_interactions, probes);
   }
-  engine = route_topology_engine(engine, topology);
+  if (!complete) engine = route_topology_engine(engine, topology);
 
-  // Both engines start from the same agent array with the same layout
-  // (agent i in community_of_agent(i)), drawn from the same stream as the
-  // complete-topology paths, so runs differ only in the scheduling law.
+  // Every engine and topology starts from the same agent array (on a
+  // blocked topology agent i lives in community_of_agent(i)).  Adversarial
+  // starts draw it from the same seed-derived stream (substream 77,
+  // distinct from the simulation streams), so the start itself is
+  // engine-independent and runs differ only in the scheduling law.
   std::vector<core::Agent> config;
   if (start == StartKind::kClean) {
     config = clean_config(params);
   } else {
     util::Rng rng(util::substream(seed, 77));
     config = core::make_adversarial_config(params, corruption, rng);
+  }
+
+  if (complete) {
+    if (engine == Engine::kNaive) {
+      return stabilize_from(params, std::move(config), seed, max_interactions,
+                            probes);
+    }
+    // Project the per-agent array onto state counts; only the multiset
+    // survives into the simulation (any agent labelling is dynamics-
+    // equivalent under the uniform scheduler).
+    return stabilize_counts_from(
+        params, pp::CountsConfiguration<core::ElectLeader>(config), seed,
+        max_interactions, probes);
   }
 
   if (topology.kind == Topology::Kind::kRing) {
@@ -407,20 +279,18 @@ StabilizationResult stabilize(EngineSpec engine, StartKind start,
   }
   // kBatched and kLeaping: the lumped community engine (leaping has no
   // community leap path; same nearest-exact-engine routing as for
-  // ineligible protocols).  kSharded reroutes here too — its birthday-
-  // block partition assumes the uniform pair law, which community
-  // weighting breaks — loudly, like every other engine degrade.
-  if (engine == Engine::kSharded) {
-    std::fprintf(stderr,
-                 "note: topology '%s' is community-weighted; the sharded "
-                 "engine's uniform block partition does not apply — routing "
-                 "--engine=sharded to the community batched engine\n",
-                 topology_name(topology));
-  }
+  // ineligible protocols).
   pp::CommunityCountsConfiguration<core::ElectLeader> counts(
       config, std::move(blocked));
   return stabilize_community_from(params, std::move(counts), seed,
                                   max_interactions, probes);
+}
+
+StabilizationResult stabilize(Engine engine, const core::Params& params,
+                              std::uint64_t seed,
+                              std::uint64_t max_interactions) {
+  return stabilize(engine, StartKind::kClean, params, core::Corruption::kNone,
+                   seed, max_interactions);
 }
 
 namespace {
@@ -452,7 +322,7 @@ bool derandomized_counts_safe(
 
 }  // namespace
 
-StabilizationResult stabilize_derandomized(EngineSpec engine,
+StabilizationResult stabilize_derandomized(Engine engine,
                                            const core::Params& params,
                                            std::uint64_t seed,
                                            std::uint64_t max_interactions) {
@@ -485,25 +355,6 @@ StabilizationResult stabilize_derandomized(EngineSpec engine,
     return res;
   }
 
-  if (engine == Engine::kSharded) {
-    pp::ShardedSimulator<core::DerandomizedElectLeader> sim(
-        protocol,
-        pp::CountsConfiguration<core::DerandomizedElectLeader>(protocol), seed,
-        engine.shards);
-    const auto probe =
-        [&](const pp::CountsConfiguration<core::DerandomizedElectLeader>& c,
-            std::uint64_t) { return derandomized_counts_safe(params, c); };
-    const auto run = sim.run_until(probe, max_interactions,
-                                   /*probe_every=*/params.n);
-    res.converged = run.converged;
-    res.interactions = run.interactions;
-    res.parallel_time = run.parallel_time(params.n);
-    res.leaders = static_cast<std::uint32_t>(
-        sim.config().count_if(core::DerandomizedElectLeader::is_leader));
-    res.metrics = sim.metrics();
-    return res;
-  }
-
   // kBatched and kLeaping both land here: DerandomizedElectLeader has a
   // deterministic δ but keeps q ≈ n distinct states (FastLE identifiers,
   // ranks), so it fails the narrow-registry half of pp::LeapEligible —
@@ -524,20 +375,13 @@ StabilizationResult stabilize_derandomized(EngineSpec engine,
   return res;
 }
 
-EngineSpec engine_from_string(const std::string& name) {
+Engine engine_from_string(const std::string& name) {
   if (name == "naive") return Engine::kNaive;
   if (name == "batched") return Engine::kBatched;
   if (name == "leaping") return Engine::kLeaping;
-  if (name == "sharded") return EngineSpec(Engine::kSharded, 0);
-  std::size_t shards = 0;
-  char tail = '\0';
-  if (std::sscanf(name.c_str(), "sharded:%zu%c", &shards, &tail) == 1 &&
-      shards >= 1) {
-    return EngineSpec(Engine::kSharded, shards);
-  }
   std::fprintf(stderr,
                "error: --engine=%s is not a valid engine "
-               "(naive|batched|leaping|sharded[:T])\n",
+               "(naive|batched|leaping)\n",
                name.c_str());
   std::exit(2);
 }
@@ -550,8 +394,6 @@ const char* engine_name(Engine engine) {
       return "batched";
     case Engine::kLeaping:
       return "leaping";
-    case Engine::kSharded:
-      return "sharded";
   }
   return "unknown";
 }
@@ -696,91 +538,65 @@ pp::CountsConfiguration<pp::Epidemic> epidemic_counts(std::uint64_t n) {
 
 }  // namespace
 
-pp::RunResult epidemic_convergence(EngineSpec engine, std::uint64_t n,
-                                   std::uint64_t seed,
-                                   std::uint64_t max_interactions,
-                                   std::uint64_t probe_every,
-                                   obs::Journal* journal) {
-  if (n < 2) return {0, true};
-  if (max_interactions == 0) max_interactions = epidemic_budget(n);
-  // The protocol object's n is only consulted when an engine builds the
-  // clean start itself; both counts engines get the configuration
-  // pre-built, so clamping to uint32 range is harmless bookkeeping.
-  const pp::Epidemic protocol{
-      static_cast<std::uint32_t>(std::min<std::uint64_t>(n, 0xffffffffull))};
-  // Per-engine probe: heartbeat (when journaled), then the convergence
-  // check.  `sim` is the engine the lambda is used with.
-  const auto all_infected = [&](const auto& sim, const auto& config,
-                                std::uint64_t t) {
-    if (journal) journal->tick(t, sim.metrics());
-    return config.count_of(0) == 0;
-  };
-  switch (engine) {
-    case Engine::kNaive: {
-      if (n > 0xffffffffull) {
-        std::fprintf(stderr,
-                     "error: the naive engine materializes n agents; "
-                     "n=%llu exceeds its uint32 population limit "
-                     "(use --engine=batched or --engine=leaping)\n",
-                     static_cast<unsigned long long>(n));
-        std::exit(2);
-      }
-      pp::Simulator<pp::Epidemic> sim(protocol, seed);
-      return sim.run_until(
-          [&](const pp::Population<pp::Epidemic>& pop, std::uint64_t t) {
-            if (journal) journal->tick(t, sim.metrics());
-            for (std::uint32_t i = 0; i < pop.size(); ++i) {
-              if (pop[i] == 0) return false;
-            }
-            return true;
-          },
-          max_interactions, probe_every);
-    }
-    case Engine::kBatched: {
-      pp::BatchedSimulator<pp::Epidemic> sim(protocol, epidemic_counts(n),
-                                             seed);
-      return sim.run_until(
-          [&](const pp::CountsConfiguration<pp::Epidemic>& c, std::uint64_t t) {
-            return all_infected(sim, c, t);
-          },
-          max_interactions, probe_every);
-    }
-    case Engine::kLeaping: {
-      pp::LeapingSimulator<pp::Epidemic> sim(protocol, epidemic_counts(n),
-                                             seed);
-      return sim.run_until(
-          [&](const pp::CountsConfiguration<pp::Epidemic>& c, std::uint64_t t) {
-            return all_infected(sim, c, t);
-          },
-          max_interactions, probe_every);
-    }
-    case Engine::kSharded: {
-      pp::ShardedSimulator<pp::Epidemic> sim(protocol, epidemic_counts(n),
-                                             seed, engine.shards);
-      return sim.run_until(
-          [&](const pp::CountsConfiguration<pp::Epidemic>& c, std::uint64_t t) {
-            return all_infected(sim, c, t);
-          },
-          max_interactions, probe_every);
-    }
-  }
-  return {0, false};
-}
-
-pp::RunResult epidemic_convergence(EngineSpec engine, std::uint64_t n,
+pp::RunResult epidemic_convergence(Engine engine, std::uint64_t n,
                                    std::uint64_t seed,
                                    std::uint64_t max_interactions,
                                    std::uint64_t probe_every,
                                    const Topology& topology,
                                    obs::Journal* journal) {
-  if (topology.kind == Topology::Kind::kComplete) {
-    return epidemic_convergence(engine, n, seed, max_interactions, probe_every,
-                                journal);
-  }
   if (n < 2) return {0, true};
-  engine = route_topology_engine(engine, topology);
+  // The protocol object's n is only consulted when an engine builds the
+  // clean start itself; the counts engines get the configuration
+  // pre-built, so clamping to uint32 range is harmless bookkeeping.
   const pp::Epidemic protocol{
       static_cast<std::uint32_t>(std::min<std::uint64_t>(n, 0xffffffffull))};
+  // Runs an engine to full infection: heartbeat (when journaled), then the
+  // convergence check, at every probe.
+  const auto run_to_infection = [&](auto& sim) {
+    return sim.run_until(
+        [&](const auto& config, std::uint64_t t) {
+          if (journal) journal->tick(t, sim.metrics());
+          if constexpr (requires { config.count_of(0); }) {
+            return config.count_of(0) == 0;
+          } else {
+            for (std::uint32_t i = 0; i < config.size(); ++i) {
+              if (config[i] == 0) return false;
+            }
+            return true;
+          }
+        },
+        max_interactions, probe_every);
+  };
+
+  if (topology.kind == Topology::Kind::kComplete) {
+    if (max_interactions == 0) max_interactions = epidemic_budget(n);
+    switch (engine) {
+      case Engine::kNaive: {
+        if (n > 0xffffffffull) {
+          std::fprintf(stderr,
+                       "error: the naive engine materializes n agents; "
+                       "n=%llu exceeds its uint32 population limit "
+                       "(use --engine=batched or --engine=leaping)\n",
+                       static_cast<unsigned long long>(n));
+          std::exit(2);
+        }
+        pp::Simulator<pp::Epidemic> sim(protocol, seed);
+        return run_to_infection(sim);
+      }
+      case Engine::kBatched: {
+        pp::BatchedSimulator<pp::Epidemic> sim(protocol, epidemic_counts(n),
+                                               seed);
+        return run_to_infection(sim);
+      }
+      case Engine::kLeaping: {
+        pp::LeapingSimulator<pp::Epidemic> sim(protocol, epidemic_counts(n),
+                                               seed);
+        return run_to_infection(sim);
+      }
+    }
+    return {0, false};
+  }
+  engine = route_topology_engine(engine, topology);
 
   if (topology.kind == Topology::Kind::kRing) {
     if (n > 0xffffffffull) {
@@ -801,15 +617,7 @@ pp::RunResult epidemic_convergence(EngineSpec engine, std::uint64_t n,
         pp::GraphScheduler(pp::Graph::cycle(static_cast<std::uint32_t>(n)),
                            util::substream(seed, 1)),
         seed);
-    return sim.run_until(
-        [&](const pp::Population<pp::Epidemic>& pop, std::uint64_t t) {
-          if (journal) journal->tick(t, sim.metrics());
-          for (std::uint32_t i = 0; i < pop.size(); ++i) {
-            if (pop[i] == 0) return false;
-          }
-          return true;
-        },
-        max_interactions, probe_every);
+    return run_to_infection(sim);
   }
 
   // Blocked topology.  The default budget is 8× the complete-graph bound:
@@ -829,26 +637,11 @@ pp::RunResult epidemic_convergence(EngineSpec engine, std::uint64_t n,
         protocol, pp::Population<pp::Epidemic>(protocol),
         pp::BlockedScheduler(std::move(blocked), util::substream(seed, 1)),
         seed);
-    return sim.run_until(
-        [&](const pp::Population<pp::Epidemic>& pop, std::uint64_t t) {
-          if (journal) journal->tick(t, sim.metrics());
-          for (std::uint32_t i = 0; i < pop.size(); ++i) {
-            if (pop[i] == 0) return false;
-          }
-          return true;
-        },
-        max_interactions, probe_every);
+    return run_to_infection(sim);
   }
   // kBatched / kLeaping: the lumped engine.  The configuration is built in
   // O(K) — {1 infected in community 0 (agent 0 lives there), the rest
-  // susceptible} — never an O(n) agent loop.  kSharded reroutes here too
-  // (its uniform block partition doesn't apply under community weighting).
-  if (engine == Engine::kSharded) {
-    std::fprintf(stderr,
-                 "note: topology '%s' is community-weighted; routing "
-                 "--engine=sharded to the community batched engine\n",
-                 topology_name(topology));
-  }
+  // susceptible} — never an O(n) agent loop.
   pp::CommunityCountsConfiguration<pp::Epidemic> counts(blocked);
   counts.add_in(0, 1, 1);
   for (std::uint32_t c = 0; c < blocked.communities(); ++c) {
@@ -858,13 +651,7 @@ pp::RunResult epidemic_convergence(EngineSpec engine, std::uint64_t n,
   pp::BatchedSimulator<pp::Epidemic,
                        pp::CommunityCountsConfiguration<pp::Epidemic>>
       sim(protocol, std::move(counts), seed);
-  return sim.run_until(
-      [&](const pp::CommunityCountsConfiguration<pp::Epidemic>& c,
-          std::uint64_t t) {
-        if (journal) journal->tick(t, sim.metrics());
-        return c.count_of(0) == 0;
-      },
-      max_interactions, probe_every);
+  return run_to_infection(sim);
 }
 
 core::MessageMultiplicity multiplicity_from_string(const std::string& name) {

@@ -2,11 +2,13 @@
 //
 // Every experiment funnels through ONE engine-generic entry point:
 //
-//   stabilize(engine, start, params, [corruption,] seed, budget)
+//   stabilize(engine, start, params, corruption, seed, budget
+//             [, topology, probes])
 //
-// with engine ∈ {naive, batched} × start ∈ {clean, adversarial} — the full
-// measurement matrix of the paper (clean-start convergence, Theorem 1.1;
-// recovery from arbitrary corruption, Lemma 6.3).  The batched adversarial
+// with engine ∈ {naive, batched, leaping} × start ∈ {clean, adversarial}
+// × topology — the full measurement matrix of the paper (clean-start
+// convergence, Theorem 1.1; recovery from arbitrary corruption, Lemma 6.3).
+// The batched adversarial
 // path projects core::make_adversarial_config through the counts
 // representation (the per-agent array is counted into state classes and
 // discarded), so every adversarial figure can run on the batched engine at
@@ -79,29 +81,7 @@ struct ProbeOptions {
 /// nearest exact engine) rather than failing — `--engine=leaping` is safe
 /// to pass to every bench, and pays off on the workloads that can leap
 /// (epidemic_convergence below).
-///
-/// kSharded selects pp::ShardedSimulator: the batched block machinery with
-/// one run's blocks fanned out over T shards on a worker pool — exact for
-/// any T, bit-identical to kBatched at T = 1.  Uniform (complete-topology)
-/// workloads only: blocked topologies reroute loudly to the community
-/// batched engine, the ring to naive.
-enum class Engine { kNaive, kBatched, kLeaping, kSharded };
-
-/// An engine request: the engine kind plus its parameters (today just the
-/// sharded engine's shard count).  Implicitly interconvertible with Engine
-/// so existing call sites — `stabilize(Engine::kBatched, ...)`,
-/// `switch (engine)`, `engine == Engine::kNaive` — keep working unchanged;
-/// only code that must preserve the shard count (CLI plumbing) needs to
-/// hold the EngineSpec itself.
-struct EngineSpec {
-  Engine kind = Engine::kBatched;
-  std::size_t shards = 0;  ///< sharded engine: T (0 = default_shard_count())
-
-  EngineSpec() = default;
-  /*implicit*/ EngineSpec(Engine k) : kind(k) {}
-  EngineSpec(Engine k, std::size_t t) : kind(k), shards(t) {}
-  /*implicit*/ operator Engine() const { return kind; }
-};
+enum class Engine { kNaive, kBatched, kLeaping };
 
 /// Which initial configuration a measurement starts from: the protocol's
 /// clean initial configuration, or an adversarial configuration drawn by
@@ -156,11 +136,9 @@ bool topology_is_lumpable(const Topology& topology);
 pp::BlockedTopology blocked_topology(const Topology& topology,
                                      std::uint64_t n);
 
-/// Parses a `--engine=` CLI value
-/// ("naive" | "batched" | "leaping" | "sharded" | "sharded:T"); exits with
-/// a clear error on anything else.  "sharded" alone picks
-/// pp::default_shard_count() shards at run time.
-EngineSpec engine_from_string(const std::string& name);
+/// Parses a `--engine=` CLI value ("naive" | "batched" | "leaping"); exits
+/// with a clear error on anything else.
+Engine engine_from_string(const std::string& name);
 const char* engine_name(Engine engine);
 
 /// Parses a `--start=` CLI value ("clean" | "adversarial"); exits with a
@@ -174,12 +152,21 @@ const char* start_name(StartKind start);
 core::MessageMultiplicity multiplicity_from_string(const std::string& name);
 const char* multiplicity_name(core::MessageMultiplicity mult);
 
-/// Runs ElectLeader_r on the chosen engine from the chosen start until the
-/// safe predicate holds (or the budget is exhausted).  `corruption` is
-/// consulted only for StartKind::kAdversarial; the adversarial
-/// configuration is drawn from a seed-derived stream, identically for both
-/// engines, so naive and batched runs start from the same distribution
-/// (the trajectories themselves agree statistically, never bit-wise).
+/// Runs ElectLeader_r on the chosen engine and topology from the chosen
+/// start until the safe predicate holds (or the budget is exhausted).
+/// `corruption` is consulted only for StartKind::kAdversarial; the
+/// adversarial configuration is drawn from a seed-derived stream,
+/// identically for every engine, so naive and batched runs start from the
+/// same distribution (the trajectories themselves agree statistically,
+/// never bit-wise).
+///
+/// Topology dispatch (see Topology above): kComplete runs the uniform
+/// engines; blocked topologies run BlockedScheduler (naive) or the lumped
+/// community engine (batched/leaping — leaping has no community leap path
+/// yet and routes to the community batched engine, mirroring its
+/// ineligible-protocol routing); kRing is naive-only (loud reroute).  Both
+/// engines of a blocked topology start from the same agent→community
+/// layout, so their laws agree (pinned by tiny-n TV tests).
 ///
 /// Engine guidance: core::Agent hashes, so the batched registry always
 /// takes its indexed path, and its Fenwick-indexed block sampling costs
@@ -189,34 +176,19 @@ const char* multiplicity_name(core::MessageMultiplicity mult);
 /// bench_parallel_sweep measures the honest wall-clock ratio.  The batched
 /// engine is what makes n = 10^5–10^6 rows executable and is strictly
 /// preferable for count-compressible workloads.
-StabilizationResult stabilize(EngineSpec engine, StartKind start,
+StabilizationResult stabilize(Engine engine, StartKind start,
                               const core::Params& params,
                               core::Corruption corruption, std::uint64_t seed,
                               std::uint64_t max_interactions,
+                              const Topology& topology = {},
                               const ProbeOptions& probes = {});
 
 /// Clean-start convenience overload.  Deliberately takes no StartKind:
 /// an adversarial measurement must name its corruption class, so there
 /// is no way to ask for an adversarial start and silently get kNone.
-StabilizationResult stabilize(EngineSpec engine, const core::Params& params,
+StabilizationResult stabilize(Engine engine, const core::Params& params,
                               std::uint64_t seed,
                               std::uint64_t max_interactions);
-
-/// Engine × Topology dispatch (see Topology above): runs ElectLeader_r on
-/// the chosen topology, with each combination routed to an exact engine.
-/// kComplete delegates to the uniform paths unchanged; blocked topologies
-/// run BlockedScheduler (naive) or the lumped community engine
-/// (batched/leaping — leaping has no community leap path yet and routes to
-/// the community batched engine, mirroring its ineligible-protocol
-/// routing); kRing is naive-only (loud reroute).  Both engines of a
-/// blocked topology start from the same agent→community layout, so their
-/// laws agree (pinned by tiny-n TV tests).
-StabilizationResult stabilize(EngineSpec engine, StartKind start,
-                              const core::Params& params,
-                              core::Corruption corruption, std::uint64_t seed,
-                              std::uint64_t max_interactions,
-                              const Topology& topology,
-                              const ProbeOptions& probes = {});
 
 /// Runs core::DerandomizedElectLeader (paper App. B: ElectLeader_r with a
 /// *deterministic* transition function) from a clean start on the chosen
@@ -225,7 +197,7 @@ StabilizationResult stabilize(EngineSpec engine, StartKind start,
 /// (id, id) → (id, id) transition cache (pp/delta_cache.hpp) — this is the
 /// measurement entry point for that path, used by bench_parallel_sweep §5
 /// and the CI smoke.
-StabilizationResult stabilize_derandomized(EngineSpec engine,
+StabilizationResult stabilize_derandomized(Engine engine,
                                            const core::Params& params,
                                            std::uint64_t seed,
                                            std::uint64_t max_interactions);
@@ -244,41 +216,35 @@ StabilizationResult stabilize_from(const core::Params& params,
 std::uint64_t default_budget(const core::Params& params);
 
 /// Lemma A.2 acceptance workload: the one-way epidemic from one infected
-/// agent, run to full infection on the chosen engine.  Returns the raw
-/// RunResult (interactions at the first probe where infection is total).
-/// `n` is 64-bit — the leap engine runs this at n = 10^10, beyond the
-/// uint32 population sizes of the agent-array engines — so the counts
-/// configuration is built directly from {1 infected, n−1 susceptible}
-/// (O(1), never an O(n) agent loop).  The naive engine materializes n
-/// agents and is rejected (exit 2) above uint32.  `max_interactions` of 0
-/// means the standard 64 · n · ⌈log2 n⌉ epidemic budget; `probe_every` of
-/// 0 means the engines' default probe grid (n) — pass 1 for exact hit
-/// times when fitting constants at small n (bench_f9).
+/// agent (agent 0, community 0), run to full infection on the chosen engine
+/// and topology.  Returns the raw RunResult (interactions at the first
+/// probe where infection is total).  `n` is 64-bit — the leap engine runs
+/// this at n = 10^10, beyond the uint32 population sizes of the agent-array
+/// engines — so the counts configurations are built directly from
+/// {1 infected, n−1 susceptible} (O(1) on the complete graph, O(K) on a
+/// blocked topology — an islands edge list at n = 10^6 would hold ~5·10^11
+/// edges), never an O(n) agent loop.  The naive engine materializes n
+/// agents and is rejected (exit 2) above uint32.
+///
+/// Topology routing: blocked topologies run naive → BlockedScheduler and
+/// batched/leaping → the lumped community engine; kRing runs the cycle
+/// graph on the naive engine (batched/leaping reroute loudly; n beyond
+/// uint32 is a hard error naming the topology).
+///
+/// `max_interactions` of 0 means the default budget: 64 · n · ⌈log2 n⌉ on
+/// the complete graph, 8× that on a blocked topology (crossing sparse
+/// inter-community cuts), and 16·n² on the ring (the cycle spreads by
+/// boundary contact — Θ(n²) interactions, paper §2 conductance).
+/// `probe_every` of 0 means the engines' default probe grid (n) — pass 1
+/// for exact hit times when fitting constants at small n (bench_f9).
 /// The trailing `journal` (when non-null) receives a heartbeat with the
 /// engine's counter snapshot at every probe — the cheap way to watch a
 /// n = 10^10 leap run make progress.
-pp::RunResult epidemic_convergence(EngineSpec engine, std::uint64_t n,
+pp::RunResult epidemic_convergence(Engine engine, std::uint64_t n,
                                    std::uint64_t seed,
                                    std::uint64_t max_interactions = 0,
                                    std::uint64_t probe_every = 0,
-                                   obs::Journal* journal = nullptr);
-
-/// Engine × Topology epidemic: one infected agent (agent 0, community 0)
-/// run to full infection.  kComplete delegates to the uniform overload;
-/// blocked topologies route naive → BlockedScheduler and batched/leaping →
-/// the lumped community engine, whose O(K) configuration keeps n = 10^6+
-/// feasible (an islands edge list at that n would hold ~5·10^11 edges).
-/// kRing runs the cycle graph on the naive engine (batched/leaping reroute
-/// loudly; n beyond uint32 is a hard error naming the topology).
-/// `max_interactions` of 0 scales the default budget to the topology: the
-/// blocked default is 8× the complete-graph 64·n·⌈log2 n⌉ (crossing
-/// sparse inter-community cuts), and the ring default is 16·n² (the cycle
-/// spreads by boundary contact — Θ(n²) interactions, paper §2 conductance).
-pp::RunResult epidemic_convergence(EngineSpec engine, std::uint64_t n,
-                                   std::uint64_t seed,
-                                   std::uint64_t max_interactions,
-                                   std::uint64_t probe_every,
-                                   const Topology& topology,
+                                   const Topology& topology = {},
                                    obs::Journal* journal = nullptr);
 
 }  // namespace ssle::analysis

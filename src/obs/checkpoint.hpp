@@ -2,15 +2,15 @@
 // bit-identical trajectory.
 //
 // A checkpoint is a versioned util::Json document holding everything the
-// future of a run depends on: the registry multiset (per shard, as
-// (encoded-state, count) lists in canonical id order), every RNG stream's
-// raw 256-bit state, the interaction count, and — for fault-injection runs
+// future of a run depends on: the registry multiset (as (encoded-state,
+// count) pairs in canonical id order), every RNG stream's raw 256-bit
+// state, the interaction count, and — for fault-injection runs
 // (analysis/churn.hpp) — the FaultPlan cursor (rule timers, battery
 // histogram, statistics so far), carried opaquely.
 //
-// Bit-identity rests on one discipline, implemented by the engines
-// (pp/batched_simulator.hpp, pp/sharded_simulator.hpp):
-// canonicalize-then-serialize.  Registry id layout steers the trajectory
+// Bit-identity rests on one discipline, implemented by the batched engine
+// (pp/batched_simulator.hpp): canonicalize-then-serialize.  Registry id
+// layout steers the trajectory
 // (uniform draws resolve in registry cumulative order), and a restorer
 // cannot reproduce interner free-list holes left by compact() — so at
 // checkpoint time the live engine first rebuilds its registry into dense-id
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "pp/batched_simulator.hpp"
-#include "pp/sharded_simulator.hpp"
 #include "util/json.hpp"
 
 namespace ssle::obs {
@@ -50,15 +49,16 @@ inline constexpr int kCheckpointVersion = 1;
 
 /// The parsed/serializable checkpoint document.
 struct CheckpointDoc {
-  std::string engine;    ///< "batched", or "sharded:<T>"
+  std::string engine;    ///< "batched" (the only engine restore accepts)
   std::string protocol;  ///< caller-chosen label, checked on restore
-  std::uint64_t n = 0;   ///< population size (Σ shard counts; consistency-checked)
+  std::uint64_t n = 0;   ///< population size (consistency-checked)
   std::uint64_t interactions = 0;
   /// Raw RNG states in the producing engine's fixed order (see the
   /// engines' rng_states()).
   std::vector<std::array<std::uint64_t, 4>> rngs;
-  /// Per shard (one entry for "batched"): the registry as (encoded state,
-  /// count) pairs in canonical id order.
+  /// The registry as (encoded state, count) pairs in canonical id order.
+  /// The format keeps it as a one-element array of such lists (the "shards"
+  /// key of version 1); restore rejects any other length.
   std::vector<std::vector<std::pair<std::string, std::uint64_t>>> shards;
   /// Opaque fault-plan cursor (analysis/churn.hpp); absent for plain runs.
   std::optional<util::Json> cursor;
@@ -118,31 +118,10 @@ CheckpointDoc make_checkpoint(pp::BatchedSimulator<P>& sim,
   return doc;
 }
 
-template <pp::Protocol P, typename Enc>
-CheckpointDoc make_checkpoint(pp::ShardedSimulator<P>& sim,
-                              const std::string& protocol_label,
-                              Enc&& encode) {
-  sim.canonicalize();
-  CheckpointDoc doc;
-  doc.engine = "sharded:" + std::to_string(sim.shard_count());
-  doc.protocol = protocol_label;
-  doc.interactions = sim.interactions();
-  doc.rngs = sim.rng_states();
-  for (std::size_t j = 0; j < sim.shard_count(); ++j) {
-    doc.shards.emplace_back();
-    const auto& cfg = sim.shard_config(j);
-    doc.n += cfg.population_size();
-    cfg.for_each([&](const typename P::State& s, std::uint64_t c) {
-      doc.shards.back().emplace_back(encode(s), c);
-    });
-  }
-  return doc;
-}
-
 /// Restores `doc` into `sim`, a fresh engine constructed with any
 /// population (n >= 2), whose configuration the restore replaces.  Re-adds
-/// every shard's (state, count) list in serialized order — reproducing the
-/// saver's canonical dense ids — then installs RNG states and the
+/// the (state, count) list in serialized order — reproducing the saver's
+/// canonical dense ids — then installs RNG states and the
 /// interaction count.  Returns false, leaving the engine unusable, on any
 /// mismatch: engine kind, protocol label, undecodable state, population
 /// total, RNG arity.
@@ -162,33 +141,6 @@ bool restore_checkpoint(pp::BatchedSimulator<P>& sim,
   if (cfg.population_size() != doc.n) return false;
   sim.config() = std::move(cfg);
   sim.canonicalize();  // idempotent here; sizes block scratch to the registry
-  if (!sim.set_rng_states(doc.rngs)) return false;
-  sim.set_interactions(doc.interactions);
-  return true;
-}
-
-template <pp::Protocol P, typename Dec>
-bool restore_checkpoint(pp::ShardedSimulator<P>& sim,
-                        const CheckpointDoc& doc,
-                        const std::string& protocol_label, Dec&& decode) {
-  if (doc.engine != "sharded:" + std::to_string(sim.shard_count())) {
-    return false;
-  }
-  if (doc.protocol != protocol_label) return false;
-  if (doc.shards.size() != sim.shard_count()) return false;
-  std::vector<typename pp::ShardedSimulator<P>::Config> configs;
-  std::uint64_t total = 0;
-  for (const auto& shard : doc.shards) {
-    configs.emplace_back(std::vector<typename P::State>{});
-    for (const auto& [enc, c] : shard) {
-      const auto s = decode(enc);
-      if (!s || c == 0) return false;
-      configs.back().add(*s, c);
-    }
-    total += configs.back().population_size();
-  }
-  if (total != doc.n) return false;
-  if (!sim.restore_shard_configs(std::move(configs))) return false;
   if (!sim.set_rng_states(doc.rngs)) return false;
   sim.set_interactions(doc.interactions);
   return true;

@@ -16,9 +16,6 @@ EngineMetrics& EngineMetrics::merge(const EngineMetrics& other) {
   flat_scan_draws += other.flat_scan_draws;
   collision_resolutions += other.collision_resolutions;
   community_pair_draws += other.community_pair_draws;
-  shards += other.shards;
-  intra_shard_interactions += other.intra_shard_interactions;
-  cross_shard_interactions += other.cross_shard_interactions;
   fenwick_point_updates += other.fenwick_point_updates;
   fenwick_samples += other.fenwick_samples;
   registry_live_states += other.registry_live_states;
@@ -51,9 +48,6 @@ util::Json EngineMetrics::to_json() const {
   j.set("flat_scan_draws", flat_scan_draws);
   j.set("collision_resolutions", collision_resolutions);
   j.set("community_pair_draws", community_pair_draws);
-  j.set("shards", shards);
-  j.set("intra_shard_interactions", intra_shard_interactions);
-  j.set("cross_shard_interactions", cross_shard_interactions);
   j.set("fenwick_point_updates", fenwick_point_updates);
   j.set("fenwick_samples", fenwick_samples);
   j.set("registry_live_states", registry_live_states);

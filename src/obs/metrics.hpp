@@ -33,15 +33,14 @@
 namespace ssle::obs {
 
 struct EngineMetrics {
-  /// Producing engine: "naive", "batched", "batched-community", "leaping",
-  /// "sharded".
+  /// Producing engine: "naive", "batched", "batched-community", "leaping".
   const char* engine = "";
 
   // --- population ------------------------------------------------------
   /// Live population size n at snapshot time.  Static runs report the
   /// construction-time n; under churn (join/leave/dropout events,
   /// analysis/churn.hpp) this is the gauge that tracks the live value.
-  /// merge() sums it — across shards the parts total the population.
+  /// merge() sums it, so merged parts total their populations.
   std::uint64_t population = 0;
 
   // --- interactions ----------------------------------------------------
@@ -56,17 +55,6 @@ struct EngineMetrics {
   std::uint64_t flat_scan_draws = 0;        ///< flat cumulative-scan samples
   std::uint64_t collision_resolutions = 0;  ///< colliding interactions resolved
   std::uint64_t community_pair_draws = 0;   ///< ordered community pairs drawn
-
-  // --- sharded engine ---------------------------------------------------
-  // The sharded engine reports engine-level totals in the fields above
-  // (interactions, collision_resolutions) and the partition structure
-  // here.  Invariant (pinned by tests/test_sharded_simulator.cpp):
-  //   intra_shard_interactions + cross_shard_interactions
-  //     + collision_resolutions == interactions, and
-  //   intra_shard_interactions == Σ over shard snapshots of interactions.
-  std::uint64_t shards = 0;                    ///< worker partitions (T)
-  std::uint64_t intra_shard_interactions = 0;  ///< resolved inside one shard
-  std::uint64_t cross_shard_interactions = 0;  ///< resolved across two shards
 
   // --- counts registry (Fenwick + interner) ----------------------------
   std::uint64_t fenwick_point_updates = 0;  ///< tree_add/tree_sub calls
@@ -96,12 +84,10 @@ struct EngineMetrics {
 
   /// Accumulates another snapshot into this one: every counter field sums,
   /// except split_depth_max (a maximum, so it maxes) and engine (this
-  /// snapshot's name wins unless it is still empty).  This is how the
-  /// sharded engine folds per-shard registry/cache counters into one
-  /// engine-level snapshot, and how callers aggregate across trials —
-  /// summing is the right fold even for the gauge-like registry fields
-  /// (live/allocated/capacity/entries), which become totals across the
-  /// merged parts.
+  /// snapshot's name wins unless it is still empty).  This is how callers
+  /// aggregate across trials — summing is the right fold even for the
+  /// gauge-like registry fields (live/allocated/capacity/entries), which
+  /// become totals across the merged parts.
   EngineMetrics& merge(const EngineMetrics& other);
   EngineMetrics& operator+=(const EngineMetrics& other) {
     return merge(other);
@@ -114,6 +100,6 @@ struct EngineMetrics {
 
 /// Version of the EngineMetrics JSON field set.  Bump when fields are
 /// renamed or removed (additions are compatible).
-inline constexpr int kMetricsSchemaVersion = 1;
+inline constexpr int kMetricsSchemaVersion = 2;
 
 }  // namespace ssle::obs

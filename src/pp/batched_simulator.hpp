@@ -135,16 +135,16 @@ void sample_multivariate_hypergeometric(util::Rng& rng,
 /// Which sides of a block's colliding interaction come from the used pool:
 /// conditioned on "at least one participant used", the ordered pair is
 /// (used, used) / (used, unused) / (unused, used) with weights
-/// u(u-1) / u·x / x·u.  Shared by every uniform-pair block engine (both
-/// batched samplers and the sharded engine) — this is exactness-critical
-/// probability code and must never diverge between the paths.
+/// u(u-1) / u·x / x·u.  Shared by both batched samplers — this is
+/// exactness-critical probability code and must never diverge between the
+/// paths.
 std::pair<bool, bool> pick_collision_sides(util::Rng& rng,
                                            std::uint64_t used_total,
                                            std::uint64_t unused_total);
 
-/// First-collision block-length sampler shared by the uniform-pair block
-/// engines (batched, sharded): the log-survival table of the birthday
-/// process over n agents, plus the inverse-transform draw.  Blocks are
+/// First-collision block-length sampler of the uniform-pair block engine:
+/// the log-survival table of the birthday process over n agents, plus the
+/// inverse-transform draw.  Blocks are
 /// stopping times of the counts chain, so any engine that draws its block
 /// lengths from this law and realizes the conditional in-block pair
 /// process exactly reproduces the sequential scheduler's distribution.

@@ -229,7 +229,7 @@ class CountsKernel {
   ///   * dead-id count — at least kCompactDeadAbsolute dead ids, which
   ///     bounds the dead tail of huge live registries long before the
   ///     fraction rule's dead ≥ live threshold can trigger (long churny
-  ///     runs: adversarial recovery cycles, sharded sub-registries).
+  ///     runs: adversarial recovery cycles, fault-plan soaks).
   /// Tiny registries (< 32 allocations) never fire.  All inputs are O(1)
   /// incremental counters, so engines can ask once per block for free.
   bool should_compact() const {

@@ -115,9 +115,8 @@ class Rng {
   ///     path uses, so distinct inputs give statistically independent
   ///     streams (no additive-lattice correlations between siblings).
   ///
-  /// This is how one run seed fans out into per-shard scheduler and agent
-  /// streams in the sharded engine: substream() keys top-level components,
-  /// split() keys dynamic per-component families.
+  /// substream() keys a run's top-level components; split() keys dynamic
+  /// per-component families.
   Rng split(std::uint64_t k) const {
     SplitMix64 mix(0x8e9d3c1fb2a45679ULL ^ (k * 0x9e3779b97f4a7c15ULL));
     std::uint64_t acc = mix.next();

@@ -1,5 +1,4 @@
-// Reusable worker pool: the thread machinery behind analysis::parallel_sweep
-// and the sharded single-run engine (pp/sharded_simulator.hpp).
+// Reusable worker pool: the thread machinery behind analysis::parallel_sweep.
 //
 // Two usage shapes share one pool:
 //
@@ -7,8 +6,8 @@
 //     what a seed sweep needs (one task per trial batch, join at the end).
 //   * run_indexed(count, body) — execute body(0..count-1) across the
 //     workers WITH the calling thread participating, returning when every
-//     index has finished.  This is the per-phase primitive of the sharded
-//     engine: a pool of W workers plus the caller gives W+1 executors, and
+//     index has finished.  This is how parallel_sweep fans out its trials:
+//     a pool of W workers plus the caller gives W+1 executors, and
 //     indices are claimed from one atomic counter, so the set of indices
 //     each thread runs is nondeterministic but the work per index is not —
 //     callers must keep per-index state disjoint (both in-repo users do).

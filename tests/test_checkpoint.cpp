@@ -3,9 +3,9 @@
 // The load-bearing claim (ISSUE 10 acceptance): checkpoint → restore into a
 // fresh engine → continue, and the continuation is BIT-IDENTICAL to the
 // saver's own continuation — registries counter-for-counter, RNG states
-// word-for-word, for both the batched engine and sharded:T.  The document
-// tests pin the strict parser (versioning, hex words, truncation) and the
-// restore guards (engine/protocol/population mismatches).
+// word-for-word.  The document tests pin the strict parser (versioning,
+// hex words, truncation) and the restore guards (engine/protocol/population
+// mismatches, including checkpoints of engines that no longer exist).
 #include "obs/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@ namespace ssle::obs {
 namespace {
 
 using analysis::Engine;
-using analysis::EngineSpec;
 using core::Params;
 
 CheckpointDoc sample_doc() {
@@ -105,7 +104,6 @@ TEST(CheckpointDoc, RngStateCodecRejectsMalformedAndAllZero) {
 // --- engine-level restore guards ------------------------------------------
 
 using Batched = pp::BatchedSimulator<core::ElectLeader>;
-using Sharded = pp::ShardedSimulator<core::ElectLeader>;
 
 Batched::Config safe_config(const Params& p) {
   return Batched::Config(core::make_safe_config(p));
@@ -204,46 +202,12 @@ TEST(CheckpointRestore, BatchedContinuationIsBitIdentical) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointRestore, ShardedContinuationIsBitIdentical) {
-  const Params p = Params::make(64, 8);
-  const core::ElectLeader protocol(p);
-  Sharded saver(protocol, safe_config(p), 7, /*shard_count=*/2);
-  saver.step(2500);
-
-  const std::string path = tmp_path("sharded2");
-  CheckpointDoc doc =
-      make_checkpoint(saver, "elect_leader", core::snapshot_write_agent);
-  EXPECT_EQ(doc.engine, "sharded:2");
-  EXPECT_EQ(doc.shards.size(), 2u);
-  ASSERT_TRUE(checkpoint_save(path, doc));
-  const auto loaded = checkpoint_load(path);
-  ASSERT_TRUE(loaded.has_value());
-
-  Sharded resumer(protocol, Sharded::Config(std::vector<core::Agent>{}), 999,
-                  /*shard_count=*/2);
-  ASSERT_TRUE(restore_checkpoint(resumer, *loaded, "elect_leader",
-                                 core::snapshot_read_agent));
-  EXPECT_EQ(resumer.interactions(), saver.interactions());
-
-  for (int leg = 0; leg < 4; ++leg) {
-    saver.step(1000);
-    resumer.step(1000);
-    EXPECT_EQ(
-        checkpoint_dump(make_checkpoint(saver, "elect_leader",
-                                        core::snapshot_write_agent)),
-        checkpoint_dump(make_checkpoint(resumer, "elect_leader",
-                                        core::snapshot_write_agent)))
-        << "diverged on leg " << leg;
-  }
-  std::remove(path.c_str());
-}
-
 // --- the stabilize() ProbeOptions plumbing --------------------------------
 
 // An interrupted stabilize run (budget exhausted mid-flight, checkpoint on
 // disk) re-invoked with the full budget must land exactly where a single
 // uninterrupted checkpointed run lands.
-void stabilize_resume_case(EngineSpec engine, const char* tag) {
+void stabilize_resume_case(Engine engine, const char* tag) {
   const Params p = Params::make(64, 8);
   const std::uint64_t budget = analysis::default_budget(p);
   const std::uint64_t seed = 31;
@@ -255,7 +219,7 @@ void stabilize_resume_case(EngineSpec engine, const char* tag) {
   std::remove(full_probes.checkpoint_path.c_str());
   const auto full = analysis::stabilize(
       engine, analysis::StartKind::kClean, p, core::Corruption::kNone, seed,
-      budget, full_probes);
+      budget, {}, full_probes);
   ASSERT_TRUE(full.converged);
   ASSERT_GT(full.interactions, 2000u) << "case too easy to exercise resume";
 
@@ -264,11 +228,11 @@ void stabilize_resume_case(EngineSpec engine, const char* tag) {
   std::remove(cut_probes.checkpoint_path.c_str());
   const auto cut = analysis::stabilize(
       engine, analysis::StartKind::kClean, p, core::Corruption::kNone, seed,
-      full.interactions / 2, cut_probes);
+      full.interactions / 2, {}, cut_probes);
   ASSERT_FALSE(cut.converged);
   const auto resumed = analysis::stabilize(
       engine, analysis::StartKind::kClean, p, core::Corruption::kNone, seed,
-      budget, cut_probes);
+      budget, {}, cut_probes);
   EXPECT_TRUE(resumed.converged);
   EXPECT_EQ(resumed.interactions, full.interactions);
   EXPECT_EQ(resumed.leaders, full.leaders);
@@ -280,8 +244,30 @@ TEST(CheckpointStabilize, BatchedResumeLandsIdentically) {
   stabilize_resume_case(Engine::kBatched, "batched");
 }
 
-TEST(CheckpointStabilize, ShardedResumeLandsIdentically) {
-  stabilize_resume_case(EngineSpec(Engine::kSharded, 2), "sharded");
+// A checkpoint from the removed multi-shard engine ("sharded:2", two
+// registry lists) must stop a resuming run with exit 2, never be ignored
+// or silently replaced by a fresh start.
+TEST(CheckpointStabilizeDeath, RemovedEngineCheckpointExits) {
+  const Params p = Params::make(16, 8);
+  const core::ElectLeader protocol(p);
+  Batched sim(protocol, safe_config(p), 42);
+  sim.step(500);
+  CheckpointDoc doc =
+      make_checkpoint(sim, "elect_leader", core::snapshot_write_agent);
+  doc.engine = "sharded:2";
+  doc.shards.push_back({doc.shards[0].back()});
+  doc.shards[0].pop_back();
+
+  analysis::ProbeOptions probes;
+  probes.checkpoint_every = 1000;
+  probes.checkpoint_path = tmp_path("removed_engine");
+  ASSERT_TRUE(checkpoint_save(probes.checkpoint_path, doc));
+  EXPECT_EXIT(analysis::stabilize(Engine::kBatched,
+                                  analysis::StartKind::kClean, p,
+                                  core::Corruption::kNone, 1,
+                                  analysis::default_budget(p), {}, probes),
+              ::testing::ExitedWithCode(2), "does not restore");
+  std::remove(probes.checkpoint_path.c_str());
 }
 
 }  // namespace

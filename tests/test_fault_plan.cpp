@@ -226,13 +226,10 @@ TEST(FaultPlanRun, DeterministicPerSeedAndEngineRouting) {
   EXPECT_EQ(a.probes_safe, b.probes_safe);
   EXPECT_EQ(a.registry_fingerprint, b.registry_fingerprint);
   EXPECT_EQ(a.recovery_times, b.recovery_times);
-  // kLeaping and kSharded reroute to the batched runner (loudly): the
-  // trajectory is the batched one, bit for bit.
+  // kLeaping reroutes to the batched runner (loudly): the trajectory is
+  // the batched one, bit for bit.
   const FaultReport c = run_fault_plan(Engine::kLeaping, p, plan, 9);
-  const FaultReport d =
-      run_fault_plan(EngineSpec(Engine::kSharded, 2), p, plan, 9);
   EXPECT_EQ(a.registry_fingerprint, c.registry_fingerprint);
-  EXPECT_EQ(a.registry_fingerprint, d.registry_fingerprint);
 }
 
 TEST(FaultPlanRun, WallClockStopReportsIncomplete) {
@@ -245,6 +242,61 @@ TEST(FaultPlanRun, WallClockStopReportsIncomplete) {
   EXPECT_FALSE(report.completed);
   EXPECT_GT(report.interactions, 0u);
   EXPECT_LT(report.interactions, plan.horizon);
+}
+
+// --- the naive twin on ElectLeader_r --------------------------------------
+// run_fault_plan(kNaive, …) is the independent reference law: the agent
+// array with its own uniform pair scheduler.  These pin its availability
+// and accounting on the paper's protocol.
+
+TEST(FaultPlanRun, NaiveNoFaultsIsFullyAvailable) {
+  const Params p = Params::make(16, 8);
+  FaultPlan plan;
+  plan.horizon = 50000;
+  plan.probe_every = 16;
+  const FaultReport report = run_fault_plan(Engine::kNaive, p, plan, 1);
+  EXPECT_EQ(report.events, 0u);
+  EXPECT_DOUBLE_EQ(report.leader_availability(), 1.0);
+  EXPECT_DOUBLE_EQ(report.safe_availability(), 1.0);
+}
+
+TEST(FaultPlanRun, NaiveRareFaultsRecoverToHighAvailability) {
+  const Params p = Params::make(16, 8);
+  const std::uint64_t period = 4 * default_budget(p) / 20;
+  const FaultReport report = run_fault_plan(
+      Engine::kNaive, p, corrupt_plan(period, 1, 12 * period, 16), 2);
+  EXPECT_GT(report.events, 10u);
+  EXPECT_GT(report.leader_availability(), 0.60);
+}
+
+TEST(FaultPlanRun, NaiveHeavyChurnDegradesButCompletes) {
+  const Params p = Params::make(16, 4);
+  const FaultReport report = run_fault_plan(
+      Engine::kNaive, p, corrupt_plan(2000, 4, 400000, 16), 3);
+  EXPECT_GT(report.events, 100u);
+  // Under heavy churn availability drops, but the run completes.
+  EXPECT_LT(report.leader_availability(), 1.0);
+  EXPECT_TRUE(report.completed);
+  EXPECT_GT(report.probes, 0u);
+}
+
+TEST(FaultPlanRun, NaiveCorruptionAccounting) {
+  const Params p = Params::make(16, 8);
+  const FaultReport report = run_fault_plan(
+      Engine::kNaive, p, corrupt_plan(1000, 3, 10000, 100), 4);
+  EXPECT_EQ(report.events, 10u);
+  EXPECT_EQ(report.agents_corrupted, 30u);
+  EXPECT_EQ(report.probes, 100u);
+}
+
+TEST(FaultPlanRun, NaiveDeterministicPerSeed) {
+  const Params p = Params::make(16, 8);
+  const FaultPlan plan = corrupt_plan(5000, 2, 100000, 16);
+  const FaultReport a = run_fault_plan(Engine::kNaive, p, plan, 9);
+  const FaultReport b = run_fault_plan(Engine::kNaive, p, plan, 9);
+  EXPECT_EQ(a.probes_with_unique_leader, b.probes_with_unique_leader);
+  EXPECT_EQ(a.probes_safe, b.probes_safe);
+  EXPECT_EQ(a.recovery_times, b.recovery_times);
 }
 
 // --- quantiles ------------------------------------------------------------

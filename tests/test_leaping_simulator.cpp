@@ -63,6 +63,15 @@ TEST(LeapingRouting, EngineParsingRoundTrips) {
   EXPECT_STREQ(analysis::engine_name(analysis::Engine::kLeaping), "leaping");
 }
 
+TEST(LeapingRoutingDeath, RemovedShardedEngineNameExits) {
+  // The multi-shard engine is gone; its CLI spellings must be rejected
+  // (exit 2, listing the engines that exist), never mapped to another one.
+  EXPECT_EXIT(analysis::engine_from_string("sharded"),
+              ::testing::ExitedWithCode(2), "naive\\|batched\\|leaping");
+  EXPECT_EXIT(analysis::engine_from_string("sharded:4"),
+              ::testing::ExitedWithCode(2), "naive\\|batched\\|leaping");
+}
+
 // ---------------------------------------------------------------------------
 // Engine semantics.
 // ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@
 #include "pp/epidemic.hpp"
 #include "pp/graph.hpp"
 #include "pp/leaping_simulator.hpp"
-#include "pp/sharded_simulator.hpp"
 #include "pp/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -133,17 +132,18 @@ TEST(EngineMetrics, ToJsonCarriesEngineAndCounters) {
   EXPECT_NE(line.find("\"interactions\":64"), std::string::npos);
 }
 
-TEST(EngineMetrics, ToJsonCarriesFlatAndShardCounters) {
+TEST(EngineMetrics, ToJsonCarriesFlatCounters) {
   pp::Epidemic proto{64};
-  pp::ShardedSimulator<pp::Epidemic> sim(proto, 1, /*shard_count=*/2);
+  pp::BatchedSimulator<pp::Epidemic> sim(proto, 1, pp::BlockSampling::kFlat);
   sim.step(500);
-  const std::string line = sim.metrics().to_json().dump_line();
-  EXPECT_NE(line.find("\"engine\":\"sharded\""), std::string::npos);
-  EXPECT_NE(line.find("\"shards\":2"), std::string::npos);
+  const obs::EngineMetrics m = sim.metrics();
+  EXPECT_GT(m.blocks_flat, 0u);
+  const std::string line = m.to_json().dump_line();
   EXPECT_NE(line.find("\"blocks_flat\":"), std::string::npos);
   EXPECT_NE(line.find("\"flat_scan_draws\":"), std::string::npos);
-  EXPECT_NE(line.find("\"intra_shard_interactions\":"), std::string::npos);
-  EXPECT_NE(line.find("\"cross_shard_interactions\":"), std::string::npos);
+  // Schema version 2 removed the multi-shard engine's fields.
+  EXPECT_EQ(obs::kMetricsSchemaVersion, 2);
+  EXPECT_EQ(line.find("shard"), std::string::npos);
 }
 
 TEST(EngineMetrics, MergeSumsCountersAndTakesTheDepthMax) {
@@ -158,7 +158,7 @@ TEST(EngineMetrics, MergeSumsCountersAndTakesTheDepthMax) {
   b.engine = "leaping";
   b.interactions = 11;
   b.blocks_flat = 1;
-  b.intra_shard_interactions = 5;
+  b.fenwick_samples = 5;
   b.split_depth_max = 6;
 
   obs::EngineMetrics m = a;
@@ -168,11 +168,11 @@ TEST(EngineMetrics, MergeSumsCountersAndTakesTheDepthMax) {
   EXPECT_EQ(m.blocks_flat, 4u);
   EXPECT_EQ(m.flat_scan_draws, 40u);
   EXPECT_EQ(m.delta_cache_hits, 7u);
-  EXPECT_EQ(m.intra_shard_interactions, 5u);
+  EXPECT_EQ(m.fenwick_samples, 5u);
   EXPECT_EQ(m.split_depth_max, 6u);  // max, not sum
 
   // An unlabeled accumulator adopts the first labeled operand — the
-  // pattern a per-shard reduction uses.
+  // pattern a reduction over trials uses.
   obs::EngineMetrics acc;
   acc += a;
   acc += b;
@@ -182,22 +182,6 @@ TEST(EngineMetrics, MergeSumsCountersAndTakesTheDepthMax) {
   const obs::EngineMetrics sum = a + b;
   EXPECT_EQ(sum.interactions, 111u);
   EXPECT_EQ(sum.split_depth_max, 6u);
-}
-
-TEST(EngineMetrics, ShardedCountersReconcile) {
-  // The engine-level invariant documented in obs/metrics.hpp:
-  //   intra + cross + collisions == interactions (n ≥ 2).
-  pp::Epidemic proto{128};
-  pp::ShardedSimulator<pp::Epidemic> sim(proto, 13, /*shard_count=*/4);
-  sim.step(3000);
-  const obs::EngineMetrics m = sim.metrics();
-  EXPECT_STREQ(m.engine, "sharded");
-  EXPECT_EQ(m.shards, 4u);
-  EXPECT_EQ(m.interactions, 3000u);
-  EXPECT_EQ(m.intra_shard_interactions + m.cross_shard_interactions +
-                m.collision_resolutions,
-            m.interactions);
-  EXPECT_EQ(m.interactions_iterated + m.interactions_leapt, m.interactions);
 }
 
 // ---------------------------------------------------------------------------
@@ -503,7 +487,7 @@ TEST(ProbeOptions, StabilizeFillsTraceJournalAndMetrics) {
   const auto res = analysis::stabilize(
       analysis::Engine::kBatched, analysis::StartKind::kAdversarial, params,
       core::all_corruptions().front(), 9,
-      8 * analysis::default_budget(params), probes);
+      8 * analysis::default_budget(params), {}, probes);
 
   ASSERT_TRUE(res.converged);
   EXPECT_STREQ(res.metrics.engine, "batched");

@@ -159,10 +159,10 @@ TEST(RngSplit, DoesNotAdvanceTheParent) {
 }
 
 TEST(RngSplit, ChildIsIndependentOfParentDrawInterleaving) {
-  // Drawing from the child never perturbs the parent, and vice versa: the
-  // sharded engine interleaves shard-stream draws with engine-stream draws
-  // in a hardware-dependent order, so this is the property that makes its
-  // trajectories deterministic.
+  // Drawing from the child never perturbs the parent, and vice versa: a
+  // caller may interleave child-stream and parent-stream draws in any
+  // order (even a hardware-dependent one) and still get deterministic
+  // trajectories.
   Rng parent(9);
   Rng child = parent.split(3);
   std::vector<std::uint64_t> child_seq;

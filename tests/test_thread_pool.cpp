@@ -1,8 +1,8 @@
-// util::ThreadPool: the shared worker pool behind analysis::parallel_sweep
-// and the sharded engine's per-phase fan-out.  Pins the contract the header
-// documents: submit/wait_idle barrier semantics, run_indexed covering every
-// index exactly once (with the calling thread participating), inline
-// degradation at 0 threads, and first-exception capture + rethrow.
+// util::ThreadPool: the worker pool behind analysis::parallel_sweep.  Pins
+// the contract the header documents: submit/wait_idle barrier semantics,
+// run_indexed covering every index exactly once (with the calling thread
+// participating), inline degradation at 0 threads, and first-exception
+// capture + rethrow.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -52,7 +52,7 @@ TEST(ThreadPool, RunIndexedCoversEveryIndexExactlyOnce) {
 
 TEST(ThreadPool, RunIndexedUsesTheCallingThreadToo) {
   // With 0 workers the calling thread is the only executor, so run_indexed
-  // must still complete — the sharded engine's 1-core fallback.
+  // must still complete — parallel_sweep's 1-core fallback.
   ThreadPool pool(0);
   std::vector<int> hits(64, 0);
   const auto caller = std::this_thread::get_id();
