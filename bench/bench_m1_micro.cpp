@@ -11,6 +11,7 @@
 // structured-output flag of the plain bench binaries.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -38,6 +39,46 @@ void BM_Scheduler(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Scheduler)->Arg(64)->Arg(1024);
+
+// The silent pair of a clean start (two kRanked rankers ticking their
+// countdowns) in the engine's own loop, Simulator<ElectLeader>::step.
+// BM_Scheduler times next() alone, and GCC compiles that loop differently
+// from next() inlined into step, so only this one sees the pair's cost.
+void BM_NaiveSilentPair(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const core::Params params =
+      core::Params::make(n, 64, core::MessageMultiplicity::kLight);
+  const core::ElectLeader protocol(params);
+  core::Agent ranker = protocol.initial_state(0);
+  ranker.ar.type = core::ArType::kRanked;
+  ranker.countdown = params.countdown_max;
+  pp::Simulator<core::ElectLeader> sim(
+      protocol,
+      pp::Population<core::ElectLeader>(std::vector<core::Agent>(n, ranker)),
+      1);
+  // A chunk of n pairs ticks each countdown twice on average, so refilling
+  // every C_max/8 chunks keeps every pair silent; the refill checks that.
+  const std::uint64_t refill_every =
+      std::max<std::uint64_t>(1, params.countdown_max / 8);
+  std::uint64_t chunks = 0;
+  for (auto _ : state) {
+    sim.step(n);
+    benchmark::DoNotOptimize(sim.population().states().data());
+    benchmark::ClobberMemory();
+    if (++chunks % refill_every != 0) continue;
+    state.PauseTiming();
+    for (core::Agent& a : sim.population().states()) {
+      if (a.role != core::Role::kRanking || a.countdown <= 1) {
+        state.SkipWithError("a pair left the silent case");
+        break;
+      }
+      a.countdown = params.countdown_max;
+    }
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_NaiveSilentPair)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_ElectLeaderInteraction(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

@@ -666,7 +666,9 @@ FaultReport run_fault_plan_naive(
       const std::uint64_t live = config.size();
       const std::uint64_t a = sched_rng.below(live);
       std::uint64_t b = sched_rng.below(live - 1);
-      if (b >= a) ++b;  // ordered distinct pair, uniform
+      // Ordered distinct pair, uniform.  Skip a without a jump, as in
+      // pp::UniformScheduler::next: b >= a is a coin flip.
+      b += static_cast<std::uint64_t>(b >= a);
       protocol.interact(config[a], config[b], agent_rng);
     }
     cur.t = stop;

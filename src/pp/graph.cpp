@@ -146,6 +146,16 @@ Graph Graph::complete_multipartite(std::uint32_t n, std::uint32_t k) {
   return g;
 }
 
+GraphScheduler::GraphScheduler(Graph graph, std::uint64_t seed)
+    : graph_(std::move(graph)), rng_(seed) {
+  if (graph_.edges() > 0) return;
+  std::fprintf(stderr,
+               "error: a graph scheduler draws edges, but the graph on %u "
+               "vertices has none (field: graph.edges)\n",
+               graph_.vertices());
+  std::exit(2);
+}
+
 BlockedTopology::BlockedTopology(std::string name,
                                  std::vector<std::uint64_t> sizes,
                                  double intra, double inter)

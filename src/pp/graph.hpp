@@ -76,15 +76,19 @@ class Graph {
 /// random edge and a uniformly random orientation.
 class GraphScheduler {
  public:
-  GraphScheduler(Graph graph, std::uint64_t seed)
-      : graph_(std::move(graph)), rng_(seed) {}
+  /// An edgeless graph has no pair to draw: exits 2 (field: graph.edges).
+  GraphScheduler(Graph graph, std::uint64_t seed);
 
   Pair next() {
     const auto& edge = graph_.edge_list()[rng_.below(graph_.edges())];
-    return rng_.coin() ? Pair{edge.first, edge.second}
-                       : Pair{edge.second, edge.first};
+    // Orient without a jump, which would mispredict half the time: heads
+    // keeps (first, second), tails XOR-swaps them through an all-ones mask.
+    const std::uint32_t tails = static_cast<std::uint32_t>(rng_.coin()) - 1u;
+    const std::uint32_t swap = (edge.first ^ edge.second) & tails;
+    return Pair{edge.first ^ swap, edge.second ^ swap};
   }
 
+  std::uint32_t population_size() const { return graph_.vertices(); }
   const Graph& graph() const { return graph_; }
 
  private:
@@ -182,13 +186,16 @@ class BlockedScheduler {
     std::uint64_t j;
     if (a == b) {
       j = topology_.offset(a) + rng_.below(topology_.size(a) - 1);
-      if (j >= i) ++j;
+      // Skip i without a jump, as in UniformScheduler::next: the
+      // comparison is a coin flip that a branch would mispredict.
+      j += static_cast<std::uint64_t>(j >= i);
     } else {
       j = topology_.offset(b) + rng_.below(topology_.size(b));
     }
     return Pair{static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)};
   }
 
+  std::uint64_t population_size() const { return topology_.total_agents(); }
   const BlockedTopology& topology() const { return topology_; }
 
  private:

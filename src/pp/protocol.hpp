@@ -105,4 +105,20 @@ inline void require_population(const char* engine, std::uint64_t n,
   std::exit(2);
 }
 
+/// Engine-constructor precondition for an explicit scheduler: it must draw
+/// agents from exactly the population's index range, or the engine would
+/// index past the agent array (or leave agents that never interact).  A
+/// mismatch exits with status 2 naming the field.
+inline void require_scheduler_agents(const char* engine,
+                                     std::uint64_t scheduler_agents,
+                                     std::uint64_t n) {
+  if (scheduler_agents == n) return;
+  std::fprintf(stderr,
+               "error: the %s engine's scheduler draws from %llu agents but "
+               "the population has %llu (field: scheduler.agents)\n",
+               engine, static_cast<unsigned long long>(scheduler_agents),
+               static_cast<unsigned long long>(n));
+  std::exit(2);
+}
+
 }  // namespace ssle::pp

@@ -32,10 +32,12 @@ struct RunResult {
   }
 };
 
-/// Scheduler concept: yields the next interacting ordered pair.
+/// Scheduler concept: yields the next interacting ordered pair, drawn from
+/// agents 0 .. population_size() − 1.
 template <typename S>
-concept Scheduler = requires(S s) {
+concept Scheduler = requires(S s, const S& cs) {
   { s.next() } -> std::same_as<Pair>;
+  { cs.population_size() } -> std::convertible_to<std::uint64_t>;
 };
 
 template <Protocol P, Scheduler Sched = UniformScheduler>
@@ -56,6 +58,8 @@ class Simulator {
         scheduler_(std::move(scheduler)),
         agent_rng_(util::substream(seed, 2)) {
     require_population("naive", population_.states().size(), kMaxAgents);
+    require_scheduler_agents("naive", scheduler_.population_size(),
+                             population_.states().size());
   }
 
   Simulator(const P& protocol, Population<P> population, std::uint64_t seed)

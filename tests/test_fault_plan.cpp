@@ -15,6 +15,8 @@
 
 #include "analysis/measure.hpp"
 #include "baselines/loose_leader.hpp"
+#include "core/adversary.hpp"
+#include "core/safety.hpp"
 #include "pp/epidemic.hpp"
 
 namespace ssle::analysis {
@@ -297,6 +299,48 @@ TEST(FaultPlanRun, NaiveDeterministicPerSeed) {
   EXPECT_EQ(a.probes_with_unique_leader, b.probes_with_unique_leader);
   EXPECT_EQ(a.probes_safe, b.probes_safe);
   EXPECT_EQ(a.recovery_times, b.recovery_times);
+}
+
+TEST(FaultPlanRun, NaiveGolden) {
+  // Pins the naive twin's trajectory (its hand-rolled pair draw, the agent
+  // stream and the fault stream) to values recorded from the branchy
+  // skip-self draw.  Leaves and joins move the live population, so the
+  // draw runs over several sizes.  The final configuration comes from
+  // run_fault_plan_naive with the same model run_fault_plan builds.
+  const Params p = Params::make(16, 8);
+  const FaultPlan plan = parse_fault_plan(
+      "corrupt:periodic:5000:2,leave:periodic:20000:2,join:periodic:30000:2",
+      /*horizon=*/100000, /*probe_every=*/16);
+  const FaultReport report = run_fault_plan(Engine::kNaive, p, plan, 9);
+  EXPECT_EQ(report.interactions, 100000u);
+  EXPECT_EQ(report.final_population, 12u);
+  EXPECT_EQ(report.probes_safe, 991u);
+  EXPECT_EQ(report.recovery_times,
+            (std::vector<std::uint64_t>{2952, 2848, 2952, 12496, 2904}));
+
+  const core::ElectLeader protocol(p);
+  NaiveFaultModel<core::ElectLeader> model;
+  model.corrupt_state = [&p](util::Rng& rng) {
+    return core::random_agent(p, rng);
+  };
+  model.join_state = [&protocol] { return protocol.initial_state(0); };
+  model.safe = [&p](const std::vector<core::Agent>& config) {
+    return core::is_safe_configuration(p, config);
+  };
+  model.unique_leader = [](const std::vector<core::Agent>& config) {
+    return core::leader_count(config) == 1;
+  };
+  std::vector<core::Agent> final_config;
+  const FaultReport twin = run_fault_plan_naive(
+      protocol, core::make_safe_config(p), plan, 9, model, {}, &final_config);
+  EXPECT_EQ(twin.interactions, report.interactions);
+  EXPECT_EQ(twin.recovery_times, report.recovery_times);
+  std::uint64_t h = 1469598103934665603ull;
+  for (const core::Agent& a : final_config) {
+    h ^= std::hash<core::Agent>{}(a);
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(h, 0x1fe48b78e0718bd5ull);
 }
 
 // --- quantiles ------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "pair_digest.hpp"
 #include "pp/simulator.hpp"
 
 namespace ssle::pp {
@@ -150,6 +151,56 @@ TEST(GraphEpidemic, ExpanderNearlyMatchesComplete) {
       epidemic_time_on(Graph::random_regular(n, 8, rng), 9);
   const auto complete = epidemic_time_on(Graph::complete(n), 9);
   EXPECT_LT(expander, 8 * complete);
+}
+
+// --- Bounds the naive engine would otherwise trust ------------------------
+
+TEST(GraphSchedulerDeathTest, EdgelessGraphExits) {
+  EXPECT_EXIT({ GraphScheduler sched(Graph(10), 1); },
+              ::testing::ExitedWithCode(2), "\\(field: graph\\.edges\\)");
+}
+
+TEST(SimulatorDeathTest, SchedulerOverOtherAgentsExits) {
+  // A 20-vertex cycle over 10 agents would index past the agent array.
+  using GraphSim = Simulator<Epidemic, GraphScheduler>;
+  using BlockedSim = Simulator<Epidemic, BlockedScheduler>;
+  const Epidemic proto{10};
+  EXPECT_EXIT(
+      {
+        GraphSim sim(proto, Population<Epidemic>(proto),
+                     GraphScheduler(Graph::cycle(20), 1), 1);
+      },
+      ::testing::ExitedWithCode(2),
+      "draws from 20 agents.*has 10 \\(field: scheduler\\.agents\\)");
+  EXPECT_EXIT(
+      {
+        BlockedSim sim(proto, Population<Epidemic>(proto),
+                       BlockedScheduler(BlockedTopology::islands(12, 2), 1),
+                       1);
+      },
+      ::testing::ExitedWithCode(2), "\\(field: scheduler\\.agents\\)");
+}
+
+// --- Golden pins: FNV-1a digests of the first 10^6 pairs, recorded from the
+// branchy skip-self draws before they became branch-free -------------------
+
+TEST(SchedulerGolden, BlockedIslandsStreamIsPinned) {
+  // Unequal communities (1003 = 251 + 3·250) with intra != inter, so both
+  // the same-community and the cross-community draws are exercised.
+  BlockedScheduler sched(BlockedTopology::islands(1003, 4, 1.0, 0.05), 1);
+  EXPECT_EQ(pair_stream_digest(sched, 1000000), 0x9dd71024f093c46bull);
+}
+
+TEST(SchedulerGolden, BlockedMultipartiteStreamIsPinned) {
+  // intra = 0: only cross-community draws, so this pins the community
+  // table and offsets apart from the skip-self step.
+  BlockedScheduler sched(BlockedTopology::multipartite(1003, 3), 1);
+  EXPECT_EQ(pair_stream_digest(sched, 1000000), 0xf8592c7d8d1106ebull);
+}
+
+TEST(SchedulerGolden, GraphCycleStreamIsPinned) {
+  GraphScheduler sched(Graph::cycle(64), 1);
+  EXPECT_EQ(pair_stream_digest(sched, 1000000), 0x6343515ca3e72b6dull);
 }
 
 }  // namespace

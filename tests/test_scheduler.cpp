@@ -5,6 +5,8 @@
 #include <map>
 #include <vector>
 
+#include "pair_digest.hpp"
+
 namespace ssle::pp {
 namespace {
 
@@ -69,6 +71,18 @@ TEST(Scheduler, DeterministicGivenSeed) {
     EXPECT_EQ(pa.initiator, pb.initiator);
     EXPECT_EQ(pa.responder, pb.responder);
   }
+}
+
+// Golden pins: FNV-1a digests of the first 10^6 pairs, recorded from the
+// branchy skip-self draw (`if (b >= a) ++b`) before it became branch-free.
+TEST(SchedulerGolden, UniformLargePopulationStreamIsPinned) {
+  UniformScheduler sched(10000, 1);
+  EXPECT_EQ(pair_stream_digest(sched, 1000000), 0xeabcccf1083741e3ull);
+}
+
+TEST(SchedulerGolden, UniformTwoAgentStreamIsPinned) {
+  UniformScheduler sched(2, 1);
+  EXPECT_EQ(pair_stream_digest(sched, 1000000), 0x2604eb43403c3833ull);
 }
 
 }  // namespace
