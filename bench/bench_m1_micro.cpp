@@ -162,8 +162,8 @@ BENCHMARK(BM_LooseLeader)->Arg(1024);
 // call, re-interning the outputs (hash + id-table probe) and O(log q)
 // Fenwick updates.  Each component is measured in isolation over a
 // realistic q ≈ n registry (random_states corruption at n = 10^5), so the
-// end-to-end engine numbers in bench_parallel_sweep §4/§5 can be read as
-// a sum of parts rather than a mystery.
+// end-to-end engine numbers in ROADMAP.md (Perf/limits) can be read as a
+// sum of parts rather than a mystery.
 // ---------------------------------------------------------------------------
 
 /// A churned q ≈ n agent population (every state distinct w.h.p.).

@@ -173,9 +173,9 @@ const char* multiplicity_name(core::MessageMultiplicity mult);
 /// O(L·log q) per length-L block even at q ≈ n distinct states — but
 /// ElectLeader_r keeps q ≈ n live states (FastLE identifiers, ranks), so
 /// counts compress little and per-interaction state copies/hashes remain;
-/// bench_parallel_sweep measures the honest wall-clock ratio.  The batched
-/// engine is what makes n = 10^5–10^6 rows executable and is strictly
-/// preferable for count-compressible workloads.
+/// ROADMAP.md (Perf/limits) records the measured wall-clock ratio.  The
+/// batched engine is what makes n = 10^5–10^6 rows executable and is
+/// strictly preferable for count-compressible workloads.
 StabilizationResult stabilize(Engine engine, StartKind start,
                               const core::Params& params,
                               core::Corruption corruption, std::uint64_t seed,
@@ -195,8 +195,7 @@ StabilizationResult stabilize(Engine engine, const core::Params& params,
 /// engine until the safe predicate holds.  On the batched engine the
 /// deterministic-δ opt-in routes every interaction through the memoized
 /// (id, id) → (id, id) transition cache (pp/delta_cache.hpp) — this is the
-/// measurement entry point for that path, used by bench_parallel_sweep §5
-/// and the CI smoke.
+/// measurement entry point for that path (tests/test_delta_cache.cpp).
 StabilizationResult stabilize_derandomized(Engine engine,
                                            const core::Params& params,
                                            std::uint64_t seed,

@@ -13,8 +13,8 @@
 // The counters themselves are always on: each is a single uint64 increment
 // on an operation that already costs O(log q) (a Fenwick point update, a
 // δ-cache probe) or O(√n) (a block draw), so the instrumented engines stay
-// within noise of their uninstrumented selves — bench_parallel_sweep §8
-// gates that claim (< 3% on the memoized epidemic path) under --gate-perf.
+// within noise of their uninstrumented selves — bench_gates' obs gate
+// checks that claim (< 3% on the memoized epidemic path).
 //
 // Invariants (pinned by tests/test_obs.cpp):
 //   * interactions_iterated + interactions_leapt == interactions on every

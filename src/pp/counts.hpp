@@ -88,7 +88,7 @@ class CountsKernel {
 
   // --- lifetime operation counters (obs::EngineMetrics feeds) ----------
   // One uint64 increment per O(log q) tree operation: always on, within
-  // noise of the uninstrumented kernel (gated by bench_parallel_sweep §8).
+  // noise of the uninstrumented kernel (bench_gates' obs gate).
   /// Fenwick point updates executed (one per add_at/remove_at).
   std::uint64_t fenwick_updates() const { return fenwick_updates_; }
   /// Fenwick sampling descents executed (one per sample_class).

@@ -19,6 +19,7 @@
 #include <map>
 #include <vector>
 
+#include "analysis/experiment.hpp"
 #include "analysis/measure.hpp"
 #include "baselines/loose_leader.hpp"
 #include "pp/batched_simulator.hpp"
@@ -26,6 +27,7 @@
 #include "pp/graph.hpp"
 #include "pp/simulator.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace ssle::pp {
 namespace {
@@ -504,6 +506,31 @@ TEST(TopologyDispatch, IslandsEpidemicConvergesOnEveryEngine) {
   EXPECT_TRUE(leaping.converged);  // routes to the community batched engine
   EXPECT_GE(naive.interactions, 512u);
   EXPECT_GE(lumped.interactions, 512u);
+}
+
+TEST(TopologyDispatch, FourIslandsEpidemicLawMatchesAcrossEngines) {
+  // The Topology → lumped routing at K = 4 and moderate n, through the same
+  // dispatch the benches use: the naive BlockedScheduler engine and the
+  // lumped community engine estimate one hitting-time law (exact probes),
+  // so their means agree within 3× the combined 95% CI band.
+  const auto topo = analysis::topology_from_string("islands:4:1.0:0.1");
+  const auto law = [&](analysis::Engine engine, std::uint64_t base_seed) {
+    return analysis::sweep(base_seed, 2000, [&](std::uint64_t seed) {
+      const auto r = analysis::epidemic_convergence(engine, 300, seed, 0,
+                                                    /*probe_every=*/1, topo);
+      return r.converged ? static_cast<double>(r.interactions) : -1.0;
+    });
+  };
+  const auto naive = law(analysis::Engine::kNaive, 1000000);
+  const auto lumped = law(analysis::Engine::kBatched, 2000000);
+  EXPECT_EQ(naive.failures, 0u);
+  EXPECT_EQ(lumped.failures, 0u);
+  const double ci_n = util::ci95_halfwidth(naive.summary);
+  const double ci_b = util::ci95_halfwidth(lumped.summary);
+  const double gap = std::abs(naive.summary.mean - lumped.summary.mean);
+  EXPECT_LE(gap, 3.0 * std::sqrt(ci_n * ci_n + ci_b * ci_b))
+      << "naive mean " << naive.summary.mean << ", lumped mean "
+      << lumped.summary.mean;
 }
 
 TEST(TopologyDispatch, CompleteTopologyDelegatesToTheUniformPath) {

@@ -1,6 +1,7 @@
 // The thread-pool experiment runner: parallel_sweep must be bit-identical
-// to serial sweep for every jobs count, and both must classify negative
-// and non-finite measurements as failures.
+// to serial sweep for every jobs count (on a synthetic measure and on real
+// ElectLeader_r stabilization runs), and both must classify negative and
+// non-finite measurements as failures.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,8 @@
 #include <thread>
 
 #include "analysis/experiment.hpp"
+#include "analysis/measure.hpp"
+#include "core/params.hpp"
 
 namespace ssle::analysis {
 namespace {
@@ -41,6 +44,22 @@ TEST(ParallelSweep, BitIdenticalToSerialForAnyJobs) {
   for (const std::size_t jobs : {1u, 2u, 8u}) {
     const auto par = parallel_sweep(42, 33, spiky_measure, jobs);
     expect_identical(serial, par);
+  }
+}
+
+TEST(ParallelSweep, ElectLeaderStabilizationIsBitIdenticalToSerial) {
+  // Real protocol code on the pool: every trial builds its own engine and
+  // RNG streams from its seed, so the parallel result is the serial one.
+  const core::Params params = core::Params::make(32, 16);
+  const auto measure = [&](std::uint64_t seed) {
+    const auto run = stabilize(Engine::kNaive, params, seed,
+                               default_budget(params));
+    return run.converged ? static_cast<double>(run.interactions) : -1.0;
+  };
+  const auto serial = sweep(7, 8, measure);
+  EXPECT_EQ(serial.failures, 0u);
+  for (const std::size_t jobs : {1u, 2u, 8u}) {
+    expect_identical(serial, parallel_sweep(7, 8, measure, jobs));
   }
 }
 
