@@ -26,11 +26,10 @@ using namespace ssle;
 
 /// Recovery time from corrupt-messages + whether the ranking survived.
 /// The preserved check compares each agent's rank before/after, which
-/// needs per-agent identity — a naive-engine capability by construction
-/// (the counts projection only keeps the multiset).  The trajectory is
-/// identical to analysis::stabilize(kNaive, kAdversarial, …,
-/// kCorruptMessages, …): same substream-77 configuration draw, same
-/// simulator seeding, same safety probe.
+/// needs per-agent identity.  The trajectory is identical to
+/// analysis::stabilize(kAdversarial, …, kCorruptMessages, …): same
+/// substream-77 configuration draw, same simulator seeding, same safety
+/// probe.
 struct RecoveryOutcome {
   double interactions = -1.0;
   bool preserved = false;
@@ -88,14 +87,13 @@ double detect_latency(const core::Params& params, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 32));
+  const auto n = cli.get_count_u32("n", 32);
   const auto trials = cli.get_count("trials", 5);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 110));
   const auto jobs = cli.get_jobs();
-  const auto engine = analysis::engine_from_string(
-      cli.get_string("engine", "naive"));
   const auto start = analysis::start_from_string(
       cli.get_string("start", "adversarial"));
+  cli.reject_unknown_flags();
 
   analysis::print_banner(
       "A1 (design-choice ablations)",
@@ -105,21 +103,18 @@ int main(int argc, char** argv) {
 
   // --- Ablation 1: soft reset ------------------------------------------------
   //
-  // Engine-generic via the unified analysis::stabilize.  The
-  // ranking_preserved column needs per-agent identity, so it is only
-  // computed on the naive adversarial path (same trajectory, one run);
-  // the batched engine measures recovery time on the counts projection
-  // and reports the column as n/a.
+  // The adversarial start tracks each agent's rank through the recovery
+  // (ranking_preserved); the clean start runs analysis::stabilize and
+  // reports the column as "-".
   {
-    const bool per_agent = engine == analysis::Engine::kNaive &&
-                           start == analysis::StartKind::kAdversarial;
+    const bool per_agent = start == analysis::StartKind::kAdversarial;
     util::Table table({"variant", "recovery(mean)", "ranking_preserved"});
     for (const bool soft : {true, false}) {
       core::Params params = core::Params::make(n, n / 4);
       params.soft_reset_enabled = soft;
       const std::uint64_t budget = 10 * analysis::default_budget(params);
       double mean = -1.0;
-      std::string preserved_cell = "n/a (counts)";
+      std::string preserved_cell = "- (clean)";
       if (per_agent) {
         double sum = 0;
         std::size_t preserved = 0, converged = 0;
@@ -137,22 +132,19 @@ int main(int argc, char** argv) {
       } else {
         const auto res =
             analysis::parallel_sweep(seed, trials, [&](std::uint64_t s) {
-              const auto run = analysis::stabilize(
-                  engine, start, params, core::Corruption::kCorruptMessages,
-                  s, budget);
+              const auto run = analysis::stabilize(params, s, budget);
               return run.converged ? static_cast<double>(run.interactions)
                                    : -1.0;
             }, jobs);
         mean = res.summary.count > 0 ? res.summary.mean : -1.0;
-        if (start == analysis::StartKind::kClean) preserved_cell = "- (clean)";
       }
       table.add_row(
           {soft ? "soft resets ON (paper)" : "soft resets OFF (ablated)",
            util::fmt(mean, 0), preserved_cell});
     }
     std::cout << "\n[1] Recovery from corrupt_messages (n=" << n
-              << ", engine=" << analysis::engine_name(engine)
-              << ", start=" << analysis::start_name(start) << "):\n";
+              << ", engine=naive, start=" << analysis::start_name(start)
+              << "):\n";
     table.print(std::cout);
     table.print_csv(std::cout);
   }

@@ -124,8 +124,8 @@ double bully_time(const pp::Graph& g, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 48));
-  const auto r = static_cast<std::uint32_t>(cli.get_int("r", 12));
+  const auto n = cli.get_count_u32("n", 48);
+  const auto r = cli.get_count_u32("r", 12);
   const auto jobs = cli.get_jobs();
   const auto trials = cli.get_count("trials", 3);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 120));
@@ -137,7 +137,10 @@ int main(int argc, char** argv) {
   const auto ncmp = cli.get_count_u32("ncmp", 20000);
   const auto engine_big =
       analysis::engine_from_string(cli.get_string("engine", "batched"));
+  const bool one_topology = cli.has("topology");
+  const auto topology_spec = cli.get_string("topology", "islands:4");
   const auto json_path = cli.get_string("json", "");
+  cli.reject_unknown_flags();
 
   obs::Report report("e1_graphical", 8);
   report.set("n", static_cast<std::uint64_t>(n))
@@ -245,8 +248,8 @@ int main(int argc, char** argv) {
   // memory, no edge list, exact law.
   std::cout << "\n-- blocked topologies at scale --\n";
   std::vector<std::string> specs;
-  if (cli.has("topology")) {
-    specs.push_back(cli.get_string("topology", "islands:4"));
+  if (one_topology) {
+    specs.push_back(topology_spec);
   } else {
     specs = {"islands:4", "multipartite:4"};
   }

@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   using namespace ssle;
   const util::Cli cli(argc, argv);
   const auto n = cli.get_count_u32("n", 100000);
-  const auto r = static_cast<std::uint32_t>(cli.get_int("r", 8));
+  const auto r = cli.get_count_u32("r", 8);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 130));
   const auto json_path = cli.get_string("json", "");
   const auto journal_path = cli.get_string("journal", "");
@@ -194,6 +194,9 @@ int main(int argc, char** argv) {
   if (cli.has("fresh") && !opts.checkpoint_path.empty()) {
     std::remove(opts.checkpoint_path.c_str());
   }
+  const bool gate_soak = cli.has("gate-soak");
+  const auto min_cycles = cli.get_count("gate-cycles", 1000);
+  cli.reject_unknown_flags();
 
   analysis::print_banner(
       "E2 (soak: fault schedules, churn, crash-safe checkpoints)",
@@ -282,10 +285,9 @@ int main(int argc, char** argv) {
   doc.section("metrics", report.metrics.to_json());
   doc.write_if(json_path, std::cout);
 
-  if (!cli.has("gate-soak")) return 0;
+  if (!gate_soak) return 0;
 
   // --- soak gates -----------------------------------------------------
-  const auto min_cycles = cli.get_count("gate-cycles", 1000);
   bool ok = true;
   const std::size_t cycles = report.recovery_times.size();
   if (cycles < min_cycles) {

@@ -6,11 +6,12 @@
 //   --trials=5   seeds per sweep point
 //   --jobs=0     parallel_sweep worker threads (0 = all cores)
 //   --nmax=128   extends the n grid (16, 24, 32, ... doubling pattern)
-//   --engine=naive|batched   simulation engine for the sweep
 //   --mult=faithful|light    message multiplicity (use light for large n)
 //   --budget=0   interaction-budget override per trial (0 = default model
 //                budget); capped trials are reported as failures, never
 //                folded into the mean
+//
+// Every trial runs analysis::stabilize on the naive engine.
 //
 // Scale note: r = n/2 means Θ(r) per-agent state (the paper's trade-off:
 // time-optimal costs 2^{O(n² log n)} states), so full stabilization runs
@@ -34,19 +35,17 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 10));
   const auto jobs = cli.get_jobs();
   const auto nmax = static_cast<std::uint64_t>(cli.get_count("nmax", 128));
-  const auto engine =
-      analysis::engine_from_string(cli.get_string("engine", "naive"));
   const auto mult =
       analysis::multiplicity_from_string(cli.get_string("mult", "faithful"));
   const auto budget_override =
       static_cast<std::uint64_t>(cli.get_count("budget", 0));
+  cli.reject_unknown_flags();
 
   analysis::print_banner(
       "F1 (Theorem 1.1, r = Θ(n))",
       "ElectLeader_{n/2} stabilizes in O(n log n) interactions w.h.p.",
       "interactions/(n·ln n) roughly constant in n; parallel time Θ(log n)");
-  std::cout << "engine=" << analysis::engine_name(engine)
-            << " mult=" << analysis::multiplicity_name(mult)
+  std::cout << "engine=naive mult=" << analysis::multiplicity_name(mult)
             << " jobs=" << analysis::effective_jobs(jobs, trials)
             << " trials=" << trials
             << "\n";
@@ -69,8 +68,7 @@ int main(int argc, char** argv) {
         budget_override ? budget_override : analysis::default_budget(params);
     const auto result =
         analysis::parallel_sweep(seed, trials, [&](std::uint64_t s) {
-          const auto run =
-              analysis::stabilize(engine, params, s, budget);
+          const auto run = analysis::stabilize(params, s, budget);
           return run.converged ? static_cast<double>(run.interactions) : -1.0;
         }, jobs);
     const double nlogn = util::model_nlogn(n);

@@ -6,15 +6,14 @@
 //   --rmax=0     cap on the r sweep (0 = n/2)
 //   --trials=5   seeds per sweep point
 //   --jobs=0     parallel_sweep worker threads (0 = all cores)
-//   --engine=naive|batched   simulation engine for the sweep
 //   --mult=faithful|light    message multiplicity (use light for large n)
 //   --budget=0   interaction-budget override per trial (0 = default model
 //                budget).  Full stabilization is Θ((n²/r)·log n), so at
 //                n ≥ 10^5 set a budget cap: capped trials are counted as
-//                failures — never folded into the mean — and the row still
-//                reports how far the engine got.  The batched engine with
-//                the hashed-Agent registry is what makes n = 10^6 rows
-//                executable at all (no O(n) agent array per interaction).
+//                failures — never folded into the mean.
+//
+// Every trial runs analysis::stabilize on the naive engine; n = 10^6 with
+// --rmax=4 --mult=light --budget=5000000 fits in ~0.2 GB.
 #include <iostream>
 #include <vector>
 
@@ -36,20 +35,18 @@ int main(int argc, char** argv) {
   const auto rmax_flag = cli.get_count_u32("rmax", 0);
   const std::uint32_t rmax =
       rmax_flag == 0 ? n / 2 : std::min(rmax_flag, n / 2);
-  const auto engine =
-      analysis::engine_from_string(cli.get_string("engine", "naive"));
   const auto mult =
       analysis::multiplicity_from_string(cli.get_string("mult", "faithful"));
   const auto budget_override =
       static_cast<std::uint64_t>(cli.get_count("budget", 0));
+  cli.reject_unknown_flags();
 
   analysis::print_banner(
       "F2 (Theorem 1.1 trade-off)",
       "ElectLeader_r stabilizes in O((n²/r)·log n) interactions using "
       "2^{O(r² log n)} states",
       "interactions·r/(n²·ln n) roughly constant across r; bits grow ~r²");
-  std::cout << "engine=" << analysis::engine_name(engine)
-            << " mult=" << analysis::multiplicity_name(mult)
+  std::cout << "engine=naive mult=" << analysis::multiplicity_name(mult)
             << " jobs=" << analysis::effective_jobs(jobs, trials)
             << " trials=" << trials
             << "\n";
@@ -63,8 +60,7 @@ int main(int argc, char** argv) {
         budget_override ? budget_override : analysis::default_budget(params);
     const auto result =
         analysis::parallel_sweep(seed, trials, [&](std::uint64_t s) {
-          const auto run =
-              analysis::stabilize(engine, params, s, budget);
+          const auto run = analysis::stabilize(params, s, budget);
           return run.converged ? static_cast<double>(run.interactions) : -1.0;
         }, jobs);
     const double model = util::model_nlogn(n) * n / r;

@@ -1,13 +1,10 @@
 // Experiment F3 — self-stabilization recovery (Lemma 6.3 + Theorem 1.1):
 // from ANY configuration, the protocol reaches a safe configuration within
 // O((n²/r)·log n) interactions w.h.p.  Measures recovery time per
-// adversarial corruption class, on either engine:
+// adversarial corruption class through analysis::stabilize on the naive
+// engine (n = 10^5, r = 64, light recovers from corrupt_messages in ~1 s):
 //
-//   --engine=naive|batched   dispatches analysis::stabilize (the batched
-//                            path projects the adversarial configuration
-//                            onto state counts and runs the Fenwick-indexed
-//                            block sampler — this is what makes n = 10^5
-//                            recovery rows executable)
+//   --n=48, --r=n/4          population size and trade-off parameter
 //   --start=adversarial|clean  adversarial (default) sweeps the corruption
 //                            classes; clean measures the clean-start
 //                            baseline only
@@ -16,10 +13,9 @@
 //   --mult=faithful|light    message multiplicity; faithful's Θ(m²)
 //                            messages per rank are prohibitive at large n
 //   --topology=complete|ring|islands:K[:intra:inter]|multipartite:K
-//                            interaction topology (Engine × Topology
-//                            dispatch in analysis::stabilize: blocked
-//                            topologies run the lumped community engine
-//                            on --engine=batched; ring is naive-only)
+//                            interaction topology (blocked topologies
+//                            run pp::BlockedScheduler, the ring
+//                            pp::GraphScheduler)
 //   --json=<path>            structured results (obs::Report envelope)
 #include <iostream>
 #include <utility>
@@ -37,13 +33,11 @@
 int main(int argc, char** argv) {
   using namespace ssle;
   const util::Cli cli(argc, argv);
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 48));
-  const auto r = static_cast<std::uint32_t>(cli.get_int("r", n / 4));
+  const auto n = cli.get_count_u32("n", 48);
+  const auto r = cli.get_count_u32("r", n / 4);
   const auto trials = cli.get_count("trials", 5);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 30));
   const auto jobs = cli.get_jobs();
-  const auto engine = analysis::engine_from_string(
-      cli.get_string("engine", "naive"));
   const auto start = analysis::start_from_string(
       cli.get_string("start", "adversarial"));
   const auto class_filter = cli.get_string("class", "");
@@ -52,6 +46,8 @@ int main(int argc, char** argv) {
   const auto topology = analysis::topology_from_string(
       cli.get_string("topology", "complete"));
   const auto json_path = cli.get_string("json", "");
+  std::uint64_t budget = cli.get_count("budget", 0);
+  cli.reject_unknown_flags();
 
   analysis::print_banner(
       "F3 (Lemma 6.3 recovery)",
@@ -61,7 +57,6 @@ int main(int argc, char** argv) {
       "is the baseline row ('none' = already safe, 0)");
 
   const core::Params params = core::Params::make(n, r, mult);
-  std::uint64_t budget = cli.get_count("budget", 0);
   if (budget == 0) budget = 8 * analysis::default_budget(params);
 
   // Row set: the corruption classes (adversarial), or the single clean
@@ -87,7 +82,7 @@ int main(int argc, char** argv) {
   report.set("n", static_cast<std::uint64_t>(n))
       .set("r", static_cast<std::uint64_t>(r))
       .set("trials", static_cast<std::uint64_t>(trials))
-      .set("engine", analysis::engine_name(engine))
+      .set("engine", "naive")
       .set("start", analysis::start_name(start))
       .set("mult", analysis::multiplicity_name(mult))
       .set("topology", analysis::topology_name(topology))
@@ -99,9 +94,8 @@ int main(int argc, char** argv) {
   for (const auto corruption : classes) {
     const auto result =
         analysis::parallel_sweep(seed, trials, [&](std::uint64_t s) {
-          const auto run = analysis::stabilize(engine, start, params,
-                                               corruption, s, budget,
-                                               topology);
+          const auto run = analysis::stabilize(start, params, corruption, s,
+                                               budget, topology);
           return run.converged ? static_cast<double>(run.interactions) : -1.0;
         }, jobs);
     const std::string label = start == analysis::StartKind::kClean
@@ -124,8 +118,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   table.print_csv(std::cout);
   std::cout << "\nn=" << n << " r=" << r
-            << "  engine=" << analysis::engine_name(engine)
-            << " start=" << analysis::start_name(start)
+            << "  engine=naive start=" << analysis::start_name(start)
             << " mult=" << analysis::multiplicity_name(mult)
             << " topology=" << analysis::topology_name(topology)
             << "  (budget per trial: " << budget << " interactions)\n";

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   const auto trials = cli.get_count("trials", 5);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 40));
   const auto jobs = cli.get_jobs();
+  cli.reject_unknown_flags();
 
   analysis::print_banner(
       "F4 (Lemma E.1(b))",

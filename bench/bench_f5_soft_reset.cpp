@@ -89,10 +89,11 @@ Outcome run_counted(const core::Params& params, core::Corruption corruption,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 32));
-  const auto r = static_cast<std::uint32_t>(cli.get_int("r", 8));
+  const auto n = cli.get_count_u32("n", 32);
+  const auto r = cli.get_count_u32("r", 8);
   const auto trials = cli.get_count("trials", 5);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 50));
+  cli.reject_unknown_flags();
 
   analysis::print_banner(
       "F5 (§3.2 soft reset / probation)",

@@ -15,7 +15,8 @@
 int main(int argc, char** argv) {
   using namespace ssle;
   const util::Cli cli(argc, argv);
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 1024));
+  const auto n = cli.get_count_u32("n", 1024);
+  cli.reject_unknown_flags();
 
   analysis::print_banner(
       "F6 (state complexity trade-off)",

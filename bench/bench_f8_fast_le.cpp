@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
   const auto trials = cli.get_count("trials", 30);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 70));
   const auto jobs = cli.get_jobs();
+  cli.reject_unknown_flags();
 
   analysis::print_banner(
       "F8 (Lemma D.10)",

@@ -78,6 +78,7 @@ int main(int argc, char** argv) {
   const auto jobs = cli.get_jobs();
   const auto engine =
       analysis::engine_from_string(cli.get_string("engine", "naive"));
+  cli.reject_unknown_flags();
 
   analysis::print_banner(
       "F9 (Lemma A.2 + Corollary C.3)",

@@ -14,9 +14,10 @@
 int main(int argc, char** argv) {
   using namespace ssle;
   const util::Cli cli(argc, argv);
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 128));
+  const auto n = cli.get_count_u32("n", 128);
   const auto samples_target =
       static_cast<std::uint64_t>(cli.get_int("samples", 200000));
+  cli.reject_unknown_flags();
 
   analysis::print_banner(
       "F11 (Appendix B, Lemma B.1)",

@@ -10,10 +10,9 @@
 //   --n=64      population size
 //   --trials=5  seeds per row
 //   --jobs=0    parallel_sweep worker threads (0 = all cores)
-//   --engine=naive|batched   runs every row (ElectLeader and baselines —
-//              all use the uniform scheduler) on the chosen engine; every
-//              state type carries a std::hash, so the batched engine's
-//              registry takes the O(1) path throughout
+//   --engine=naive|batched   runs the baseline rows (CIW, SSR, FightLE,
+//              LooseLeader) on the chosen engine; the ElectLeader_r rows
+//              always run analysis::stabilize on the naive engine
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -71,6 +70,7 @@ int main(int argc, char** argv) {
   const auto jobs = cli.get_jobs();
   const auto engine =
       analysis::engine_from_string(cli.get_string("engine", "naive"));
+  cli.reject_unknown_flags();
   const bool batched = engine == analysis::Engine::kBatched;
 
   analysis::print_banner(
@@ -79,7 +79,8 @@ int main(int argc, char** argv) {
       "ElectLeader_{n/2} ~ SSR time but polynomially-bounded bit growth; "
       "CIW slowest/smallest; loose-LE fastest but only loosely stabilizing");
   std::cout << "engine=" << analysis::engine_name(engine)
-            << " jobs=" << analysis::effective_jobs(jobs, trials)
+            << " (baselines; ElectLeader rows run naive) jobs="
+            << analysis::effective_jobs(jobs, trials)
             << " trials=" << trials
             << "\n";
 
@@ -102,8 +103,8 @@ int main(int argc, char** argv) {
     const core::Params params = core::Params::make(n, r);
     const auto res =
         analysis::parallel_sweep(seed, trials, [&](std::uint64_t s) {
-          const auto run = analysis::stabilize(
-              engine, params, s, analysis::default_budget(params));
+          const auto run =
+              analysis::stabilize(params, s, analysis::default_budget(params));
           return run.converged ? static_cast<double>(run.interactions) : -1.0;
         }, jobs);
     table.add_row({"ElectLeader r=" + std::to_string(params.r), "yes",

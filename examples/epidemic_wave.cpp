@@ -17,8 +17,9 @@
 int main(int argc, char** argv) {
   using namespace ssle;
   const util::Cli cli(argc, argv);
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 10000000));
+  const auto n = cli.get_count_u32("n", 10000000);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  cli.reject_unknown_flags();
   if (n < 2) {
     std::cerr << "epidemic_wave: need --n >= 2 (an epidemic needs agents "
                  "to meet).\n";

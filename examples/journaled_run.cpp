@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.get_count("heartbeat-interactions", n));
   const auto topology =
       analysis::topology_from_string(cli.get_string("topology", "complete"));
+  cli.reject_unknown_flags();
 
   obs::Journal::Options jopts;
   jopts.path = journal_path == "-" ? "" : journal_path;

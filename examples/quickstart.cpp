@@ -14,9 +14,10 @@
 int main(int argc, char** argv) {
   using namespace ssle;
   const util::Cli cli(argc, argv);
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 64));
-  const auto r = static_cast<std::uint32_t>(cli.get_int("r", 8));
+  const auto n = cli.get_count_u32("n", 64);
+  const auto r = cli.get_count_u32("r", 8);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  cli.reject_unknown_flags();
 
   const core::Params params = core::Params::make(n, r);
   core::ElectLeader protocol(params);

@@ -57,9 +57,10 @@ bool run_to_safe(const core::Params& params,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 48));
-  const auto r = static_cast<std::uint32_t>(cli.get_int("r", 12));
+  const auto n = cli.get_count_u32("n", 48);
+  const auto r = cli.get_count_u32("r", 12);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+  cli.reject_unknown_flags();
 
   const core::Params params = core::Params::make(n, r);
   core::ElectLeader protocol(params);

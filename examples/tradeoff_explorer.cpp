@@ -5,7 +5,8 @@
 // you get (stabilization time) — the engineering view of Theorem 1.1.
 //
 //   ./examples/tradeoff_explorer [--n=64] [--trials=3] [--seed=3] [--jobs=0]
-//                                [--engine=naive|batched]
+//
+// Each trial runs analysis::stabilize on the naive engine.
 #include <cstdint>
 #include <iostream>
 
@@ -20,12 +21,11 @@
 int main(int argc, char** argv) {
   using namespace ssle;
   const util::Cli cli(argc, argv);
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 64));
+  const auto n = cli.get_count_u32("n", 64);
   const auto trials = cli.get_count("trials", 3);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
   const auto jobs = cli.get_jobs();
-  const auto engine = analysis::engine_from_string(
-      cli.get_string("engine", "naive"));
+  cli.reject_unknown_flags();
 
   std::cout << "Space-time trade-off for self-stabilizing leader election, n="
             << n << "\n"
@@ -38,9 +38,8 @@ int main(int argc, char** argv) {
     const core::Params params = core::Params::make(n, r);
     const auto result =
         analysis::parallel_sweep(seed, trials, [&](std::uint64_t s) {
-          const auto run = analysis::stabilize(
-              engine, params, s,
-              analysis::default_budget(params));
+          const auto run =
+              analysis::stabilize(params, s, analysis::default_budget(params));
           return run.converged ? static_cast<double>(run.interactions) : -1.0;
         }, jobs);
     const double par = result.summary.mean / n;

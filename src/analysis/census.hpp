@@ -2,15 +2,6 @@
 // configuration (message counts, per-role populations, generation spread).
 // Complements core/state_size.* (which evaluates the formal state-space
 // formulas) with what the simulation actually allocates.
-//
-// Counts-native overloads read the registries of the counts engines
-// directly — O(q log q) per census, never an O(n) agent expansion — so
-// phase probes stay affordable on batched/leaping/lumped runs at n = 10^6+.
-// They agree field-for-field with the agent-vector census of the same
-// multiset (take_census(params, counts.to_states()); pinned by
-// tests/test_obs.cpp).  approx_bytes counts the freshly materialized
-// footprint (vector capacity == size), matching what to_states() would
-// allocate; a long-lived agent array can carry growth slack above that.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +10,6 @@
 #include "core/agent.hpp"
 #include "core/elect_leader.hpp"
 #include "core/params.hpp"
-#include "pp/community_counts.hpp"
-#include "pp/counts.hpp"
 
 namespace ssle::analysis {
 
@@ -38,13 +27,5 @@ struct Census {
 
 Census take_census(const core::Params& params,
                    const std::vector<core::Agent>& config);
-
-/// Counts-native censuses: one pass over the registry's live classes,
-/// weighting each class's contribution by its count.
-Census take_census(const core::Params& params,
-                   const pp::CountsConfiguration<core::ElectLeader>& counts);
-Census take_census(
-    const core::Params& params,
-    const pp::CommunityCountsConfiguration<core::ElectLeader>& counts);
 
 }  // namespace ssle::analysis

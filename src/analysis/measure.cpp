@@ -9,8 +9,6 @@
 #include "analysis/trace.hpp"
 #include "core/derandomized.hpp"
 #include "core/safety.hpp"
-#include "core/snapshot.hpp"
-#include "obs/checkpoint.hpp"
 #include "obs/journal.hpp"
 #include "pp/batched_simulator.hpp"
 #include "pp/community_counts.hpp"
@@ -63,67 +61,6 @@ StabilizationResult stabilize_population(const core::Params& params,
   return res;
 }
 
-/// Batched-engine counterpart of stabilize_population: advances a counts
-/// configuration until the (counts-native) safe predicate holds.  Handles
-/// ProbeOptions.checkpoint_*: it resumes from an existing checkpoint at
-/// the path and saves one every checkpoint_every interactions.
-StabilizationResult stabilize_counts_from(
-    const core::Params& params,
-    pp::CountsConfiguration<core::ElectLeader> config, std::uint64_t seed,
-    std::uint64_t max_interactions, const ProbeOptions& probes) {
-  // The protocol label a restore checks.
-  constexpr const char* kLabel = "elect_leader";
-  core::ElectLeader protocol(params);
-  pp::BatchedSimulator<core::ElectLeader> sim(protocol, std::move(config),
-                                              seed);
-  const bool checkpointing =
-      !probes.checkpoint_path.empty() && probes.checkpoint_every > 0;
-  std::uint64_t last_saved = 0;
-  if (checkpointing) {
-    if (auto doc = obs::checkpoint_load(probes.checkpoint_path)) {
-      if (!obs::restore_checkpoint(sim, *doc, kLabel,
-                                   core::snapshot_read_agent)) {
-        std::fprintf(stderr,
-                     "error: checkpoint at %s does not restore into this "
-                     "engine/protocol\n",
-                     probes.checkpoint_path.c_str());
-        std::exit(2);
-      }
-      last_saved = sim.interactions();
-      // run_until budgets are relative to the engine's interaction count:
-      // a resumed run only owes the remainder of the original budget.
-      max_interactions -= std::min(max_interactions, sim.interactions());
-    }
-  }
-
-  const auto probe = [&](const pp::CountsConfiguration<core::ElectLeader>& c,
-                         std::uint64_t t) {
-    if (probes.trace) probes.trace->record(t, c);
-    if (probes.journal) probes.journal->tick(t, sim.metrics());
-    // Safety first: saving canonicalizes the engine, which may rebuild the
-    // very configuration `c` refers to.
-    const bool safe = core::is_safe_configuration(params, c);
-    if (checkpointing && t >= last_saved + probes.checkpoint_every) {
-      const auto doc =
-          obs::make_checkpoint(sim, kLabel, core::snapshot_write_agent);
-      if (obs::checkpoint_save(probes.checkpoint_path, doc)) last_saved = t;
-    }
-    return safe;
-  };
-  const auto run =
-      sim.run_until(probe, max_interactions,
-                    probes.probe_every ? probes.probe_every : params.n);
-
-  StabilizationResult res;
-  res.converged = run.converged;
-  res.interactions = run.interactions;
-  res.parallel_time = run.parallel_time(params.n);
-  res.leaders = static_cast<std::uint32_t>(
-      sim.config().count_if(core::ElectLeader::is_leader));
-  res.metrics = sim.metrics();
-  return res;
-}
-
 /// The protocol's clean initial configuration as a per-agent array.
 std::vector<core::Agent> clean_config(const core::Params& params) {
   core::ElectLeader protocol(params);
@@ -133,44 +70,6 @@ std::vector<core::Agent> clean_config(const core::Params& params) {
     config.push_back(protocol.initial_state(i));
   }
   return config;
-}
-
-/// Lumped-engine stabilization on a blocked topology: the batched engine's
-/// community path over (community, state) counts.  The safe predicate is a
-/// property of the state *multiset* (leader uniqueness, verifier roles,
-/// message-system consistency — none of it community-dependent), so the
-/// probe uses the community-counts overload of core::is_safe_configuration
-/// directly: O(q) multiset pre-checks per probe, expansion only once they
-/// pass — exactly mirroring the uniform counts probe.
-StabilizationResult stabilize_community_from(
-    const core::Params& params,
-    pp::CommunityCountsConfiguration<core::ElectLeader> config,
-    std::uint64_t seed, std::uint64_t max_interactions,
-    const ProbeOptions& probes) {
-  core::ElectLeader protocol(params);
-  pp::BatchedSimulator<core::ElectLeader,
-                       pp::CommunityCountsConfiguration<core::ElectLeader>>
-      sim(protocol, std::move(config), seed);
-
-  const auto probe =
-      [&](const pp::CommunityCountsConfiguration<core::ElectLeader>& c,
-          std::uint64_t t) {
-        if (probes.trace) probes.trace->record(t, c);
-        if (probes.journal) probes.journal->tick(t, sim.metrics());
-        return core::is_safe_configuration(params, c);
-      };
-  const auto run =
-      sim.run_until(probe, max_interactions,
-                    probes.probe_every ? probes.probe_every : params.n);
-
-  StabilizationResult res;
-  res.converged = run.converged;
-  res.interactions = run.interactions;
-  res.parallel_time = run.parallel_time(params.n);
-  res.leaders = static_cast<std::uint32_t>(
-      sim.config().count_if(core::ElectLeader::is_leader));
-  res.metrics = sim.metrics();
-  return res;
 }
 
 /// Engine routing for a topology request: the ring has no community
@@ -206,41 +105,21 @@ StabilizationResult stabilize_from(const core::Params& params,
                                    std::uint64_t seed,
                                    std::uint64_t max_interactions,
                                    const ProbeOptions& probes) {
-  if (!probes.checkpoint_path.empty()) {
-    std::fprintf(stderr,
-                 "note: checkpoints are counts-native; the naive engine "
-                 "runs uncheckpointed\n");
-  }
   const auto n = static_cast<std::uint32_t>(config.size());
   return stabilize_population(params, std::move(config),
                               pp::UniformScheduler(n, util::substream(seed, 1)),
                               seed, max_interactions, probes);
 }
 
-StabilizationResult stabilize(Engine engine, StartKind start,
-                              const core::Params& params,
+StabilizationResult stabilize(StartKind start, const core::Params& params,
                               core::Corruption corruption, std::uint64_t seed,
                               std::uint64_t max_interactions,
                               const Topology& topology,
                               const ProbeOptions& probes) {
-  const bool complete = topology.kind == Topology::Kind::kComplete;
-  if (complete && start == StartKind::kClean && engine != Engine::kNaive) {
-    // kBatched and kLeaping both take the counts path: ElectLeader_r draws
-    // randomness in δ, so it is not leap-eligible (pp::LeapEligible) and a
-    // leap request degrades to the nearest exact engine (documented in
-    // measure.hpp; the routing is pinned by a test).
-    core::ElectLeader protocol(params);
-    return stabilize_counts_from(
-        params, pp::CountsConfiguration<core::ElectLeader>(protocol), seed,
-        max_interactions, probes);
-  }
-  if (!complete) engine = route_topology_engine(engine, topology);
-
-  // Every engine and topology starts from the same agent array (on a
-  // blocked topology agent i lives in community_of_agent(i)).  Adversarial
-  // starts draw it from the same seed-derived stream (substream 77,
-  // distinct from the simulation streams), so the start itself is
-  // engine-independent and runs differ only in the scheduling law.
+  // Every topology starts from the same agent array (on a blocked topology
+  // agent i lives in community_of_agent(i)).  Adversarial starts draw it
+  // from a seed-derived stream (substream 77, distinct from the simulation
+  // streams).
   std::vector<core::Agent> config;
   if (start == StartKind::kClean) {
     config = clean_config(params);
@@ -249,19 +128,10 @@ StabilizationResult stabilize(Engine engine, StartKind start,
     config = core::make_adversarial_config(params, corruption, rng);
   }
 
-  if (complete) {
-    if (engine == Engine::kNaive) {
-      return stabilize_from(params, std::move(config), seed, max_interactions,
-                            probes);
-    }
-    // Project the per-agent array onto state counts; only the multiset
-    // survives into the simulation (any agent labelling is dynamics-
-    // equivalent under the uniform scheduler).
-    return stabilize_counts_from(
-        params, pp::CountsConfiguration<core::ElectLeader>(config), seed,
-        max_interactions, probes);
+  if (topology.kind == Topology::Kind::kComplete) {
+    return stabilize_from(params, std::move(config), seed, max_interactions,
+                          probes);
   }
-
   if (topology.kind == Topology::Kind::kRing) {
     return stabilize_population(
         params, std::move(config),
@@ -269,28 +139,17 @@ StabilizationResult stabilize(Engine engine, StartKind start,
                            util::substream(seed, 1)),
         seed, max_interactions, probes);
   }
-
-  pp::BlockedTopology blocked = blocked_topology(topology, params.n);
-  if (engine == Engine::kNaive) {
-    return stabilize_population(
-        params, std::move(config),
-        pp::BlockedScheduler(std::move(blocked), util::substream(seed, 1)),
-        seed, max_interactions, probes);
-  }
-  // kBatched and kLeaping: the lumped community engine (leaping has no
-  // community leap path; same nearest-exact-engine routing as for
-  // ineligible protocols).
-  pp::CommunityCountsConfiguration<core::ElectLeader> counts(
-      config, std::move(blocked));
-  return stabilize_community_from(params, std::move(counts), seed,
-                                  max_interactions, probes);
+  return stabilize_population(
+      params, std::move(config),
+      pp::BlockedScheduler(blocked_topology(topology, params.n),
+                           util::substream(seed, 1)),
+      seed, max_interactions, probes);
 }
 
-StabilizationResult stabilize(Engine engine, const core::Params& params,
-                              std::uint64_t seed,
+StabilizationResult stabilize(const core::Params& params, std::uint64_t seed,
                               std::uint64_t max_interactions) {
-  return stabilize(engine, StartKind::kClean, params, core::Corruption::kNone,
-                   seed, max_interactions);
+  return stabilize(StartKind::kClean, params, core::Corruption::kNone, seed,
+                   max_interactions);
 }
 
 namespace {

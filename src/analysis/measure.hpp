@@ -1,18 +1,16 @@
 // Stabilization / convergence measurement for ElectLeader_r and baselines.
 //
-// Every experiment funnels through ONE engine-generic entry point:
+// ElectLeader_r experiments funnel through one entry point:
 //
-//   stabilize(engine, start, params, corruption, seed, budget
-//             [, topology, probes])
+//   stabilize(start, params, corruption, seed, budget [, topology, probes])
 //
-// with engine ∈ {naive, batched, leaping} × start ∈ {clean, adversarial}
-// × topology — the full measurement matrix of the paper (clean-start
-// convergence, Theorem 1.1; recovery from arbitrary corruption, Lemma 6.3).
-// The batched adversarial
-// path projects core::make_adversarial_config through the counts
-// representation (the per-agent array is counted into state classes and
-// discarded), so every adversarial figure can run on the batched engine at
-// n = 10^5+ instead of being stuck at naive-engine scale.
+// with start ∈ {clean, adversarial} × topology — the paper's measurement
+// matrix (clean-start convergence, Theorem 1.1; recovery from arbitrary
+// corruption, Lemma 6.3).  It runs the naive agent-array engine, which is
+// the fastest exact engine for ElectLeader_r at every size the repo runs:
+// the protocol keeps q ≈ n live states, so counts do not compress it.  The
+// epidemic (epidemic_convergence) and the derandomized variant keep the
+// Engine choice.
 #pragma once
 
 #include <cstdint>
@@ -46,26 +44,15 @@ struct StabilizationResult {
 };
 
 /// Observability hooks for stabilize(): evaluated at the same probe grid as
-/// the safe predicate, on whichever engine the request routes to.  The
-/// trace records a counts-native census + safety flag per probe (O(q) while
-/// the run is unsafe — affordable at n = 10^6+ on the counts engines); the
-/// journal emits heartbeat events with the engine's live counters.  Both
-/// are optional and may be combined; `probe_every` of 0 keeps the engines'
-/// default probe grid (n interactions).
+/// the safe predicate.  The trace records a census + safety flag per probe;
+/// the journal emits heartbeat events with the engine's live counters.
+/// Both are optional and may be combined; `probe_every` of 0 keeps the
+/// default probe grid (n interactions).  Crash-safe checkpoints are a
+/// fault-runner feature (analysis/churn.hpp, FaultRunOptions).
 struct ProbeOptions {
   Trace* trace = nullptr;
   obs::Journal* journal = nullptr;
   std::uint64_t probe_every = 0;
-  /// Crash-safe checkpointing (obs/checkpoint.hpp), counts engines only:
-  /// when checkpoint_path is nonempty and checkpoint_every > 0, the engine
-  /// atomically saves a checkpoint every checkpoint_every interactions (on
-  /// the probe grid) and resumes from an existing file at the path.  Note
-  /// that saving canonicalizes the registry, so a checkpointed run's
-  /// trajectory matches OTHER checkpointed runs (in particular its own
-  /// kill−9/resume), not an uncheckpointed run.  The naive engine ignores
-  /// the request with a loud stderr note (checkpoints are counts-native).
-  std::uint64_t checkpoint_every = 0;
-  std::string checkpoint_path;
 };
 
 /// Which simulation engine a measurement should run on.
@@ -74,13 +61,11 @@ struct ProbeOptions {
 /// its scheduler type.
 ///
 /// kLeaping selects pp::LeapingSimulator where the workload is eligible
-/// (deterministic δ AND a narrow registry, pp::LeapEligible).  ElectLeader_r
-/// draws randomness in δ and DerandomizedElectLeader keeps q ≈ n distinct
-/// states, so neither is leap-eligible: stabilize() and
-/// stabilize_derandomized() route kLeaping to the batched engine (the
-/// nearest exact engine) rather than failing — `--engine=leaping` is safe
-/// to pass to every bench, and pays off on the workloads that can leap
-/// (epidemic_convergence below).
+/// (deterministic δ AND a narrow registry, pp::LeapEligible).
+/// DerandomizedElectLeader keeps q ≈ n distinct states, so it is not
+/// leap-eligible: stabilize_derandomized() routes kLeaping to the batched
+/// engine (the nearest exact engine) rather than failing.  Leaping pays off
+/// on the workloads that can leap (epidemic_convergence below).
 enum class Engine { kNaive, kBatched, kLeaping };
 
 /// Which initial configuration a measurement starts from: the protocol's
@@ -89,9 +74,10 @@ enum class Engine { kNaive, kBatched, kLeaping };
 /// arbitrary starts).
 enum class StartKind { kClean, kAdversarial };
 
-/// Which interaction topology a measurement runs on.  The Engine × Topology
-/// dispatch in stabilize()/epidemic_convergence() routes each combination
-/// to an engine that simulates it *exactly*:
+/// Which interaction topology a measurement runs on.  stabilize() runs every
+/// kind on the naive engine under the matching scheduler; the Engine ×
+/// Topology dispatch in epidemic_convergence() routes each combination to
+/// an engine that simulates it *exactly*:
 ///
 ///   * kComplete      — the classical model; every engine, unchanged paths.
 ///   * kIslands       — K cliques (intra weight) bridged all-to-all (inter
@@ -152,32 +138,14 @@ const char* start_name(StartKind start);
 core::MessageMultiplicity multiplicity_from_string(const std::string& name);
 const char* multiplicity_name(core::MessageMultiplicity mult);
 
-/// Runs ElectLeader_r on the chosen engine and topology from the chosen
-/// start until the safe predicate holds (or the budget is exhausted).
-/// `corruption` is consulted only for StartKind::kAdversarial; the
-/// adversarial configuration is drawn from a seed-derived stream,
-/// identically for every engine, so naive and batched runs start from the
-/// same distribution (the trajectories themselves agree statistically,
-/// never bit-wise).
-///
-/// Topology dispatch (see Topology above): kComplete runs the uniform
-/// engines; blocked topologies run BlockedScheduler (naive) or the lumped
-/// community engine (batched/leaping — leaping has no community leap path
-/// yet and routes to the community batched engine, mirroring its
-/// ineligible-protocol routing); kRing is naive-only (loud reroute).  Both
-/// engines of a blocked topology start from the same agent→community
-/// layout, so their laws agree (pinned by tiny-n TV tests).
-///
-/// Engine guidance: core::Agent hashes, so the batched registry always
-/// takes its indexed path, and its Fenwick-indexed block sampling costs
-/// O(L·log q) per length-L block even at q ≈ n distinct states — but
-/// ElectLeader_r keeps q ≈ n live states (FastLE identifiers, ranks), so
-/// counts compress little and per-interaction state copies/hashes remain;
-/// ROADMAP.md (Perf/limits) records the measured wall-clock ratio.  The
-/// batched engine is what makes n = 10^5–10^6 rows executable and is
-/// strictly preferable for count-compressible workloads.
-StabilizationResult stabilize(Engine engine, StartKind start,
-                              const core::Params& params,
+/// Runs ElectLeader_r on the naive engine over the chosen topology from the
+/// chosen start until the safe predicate holds (or the budget is
+/// exhausted).  `corruption` is consulted only for StartKind::kAdversarial;
+/// the adversarial configuration is drawn from a seed-derived stream
+/// (substream 77).  kComplete runs pp::UniformScheduler, blocked topologies
+/// pp::BlockedScheduler (agent i in community_of_agent(i)), and kRing
+/// pp::GraphScheduler over the cycle.
+StabilizationResult stabilize(StartKind start, const core::Params& params,
                               core::Corruption corruption, std::uint64_t seed,
                               std::uint64_t max_interactions,
                               const Topology& topology = {},
@@ -186,8 +154,7 @@ StabilizationResult stabilize(Engine engine, StartKind start,
 /// Clean-start convenience overload.  Deliberately takes no StartKind:
 /// an adversarial measurement must name its corruption class, so there
 /// is no way to ask for an adversarial start and silently get kNone.
-StabilizationResult stabilize(Engine engine, const core::Params& params,
-                              std::uint64_t seed,
+StabilizationResult stabilize(const core::Params& params, std::uint64_t seed,
                               std::uint64_t max_interactions);
 
 /// Runs core::DerandomizedElectLeader (paper App. B: ElectLeader_r with a
@@ -201,9 +168,9 @@ StabilizationResult stabilize_derandomized(Engine engine,
                                            std::uint64_t seed,
                                            std::uint64_t max_interactions);
 
-/// Runs ElectLeader_r from an explicit per-agent configuration on the
-/// naive engine (the building block for mid-run-corruption tests and any
-/// measurement that needs agent identity).
+/// Runs ElectLeader_r from an explicit per-agent configuration under the
+/// uniform scheduler (the building block for mid-run-corruption tests and
+/// any measurement that needs agent identity).
 StabilizationResult stabilize_from(const core::Params& params,
                                    std::vector<core::Agent> config,
                                    std::uint64_t seed,

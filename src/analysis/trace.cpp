@@ -12,19 +12,6 @@ void Trace::record(std::uint64_t interactions,
   safe_.push_back(core::is_safe_configuration(params_, config));
 }
 
-void Trace::record(std::uint64_t interactions,
-                   const pp::CountsConfiguration<core::ElectLeader>& counts) {
-  points_.push_back({interactions, take_census(params_, counts)});
-  safe_.push_back(core::is_safe_configuration(params_, counts));
-}
-
-void Trace::record(
-    std::uint64_t interactions,
-    const pp::CommunityCountsConfiguration<core::ElectLeader>& counts) {
-  points_.push_back({interactions, take_census(params_, counts)});
-  safe_.push_back(core::is_safe_configuration(params_, counts));
-}
-
 std::optional<std::uint64_t> Trace::first_verifier() const {
   for (const auto& pt : points_) {
     if (pt.census.verifiers > 0) return pt.interactions;

@@ -4,11 +4,8 @@
 // debugging sessions a compact view of *where the time goes* inside
 // ElectLeader_r (ranking vs countdown vs verification).
 //
-// record() accepts agent vectors (naive engine) and counts registries
-// (batched/leaping/lumped engines); the counts overloads take their census
-// and safety probe counts-natively (analysis/census.hpp, core/safety.hpp),
-// so tracing at n = 10^6+ never expands a per-agent configuration while
-// the run is unsafe.
+// record() takes the agent vector of a naive-engine run
+// (analysis::stabilize's ProbeOptions::trace).
 #pragma once
 
 #include <cstdint>
@@ -33,10 +30,6 @@ class Trace {
   /// Records one probe.
   void record(std::uint64_t interactions,
               const std::vector<core::Agent>& config);
-  void record(std::uint64_t interactions,
-              const pp::CountsConfiguration<core::ElectLeader>& counts);
-  void record(std::uint64_t interactions,
-              const pp::CommunityCountsConfiguration<core::ElectLeader>& counts);
 
   const std::vector<TracePoint>& points() const { return points_; }
 

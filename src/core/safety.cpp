@@ -90,13 +90,8 @@ bool is_safe_configuration(const Params& params,
          message_system_consistent(params, config);
 }
 
-namespace {
-
-// Shared multiset pre-check of the counts-native probes: works off
-// for_each(state, count), which both the uniform and the community-lifted
-// registries provide (the latter strips the community coordinate).
-template <typename Counts>
-bool counts_safe(const Params& params, const Counts& counts) {
+bool is_safe_configuration(const Params& params,
+                           const pp::CountsConfiguration<ElectLeader>& counts) {
   if (counts.population_size() != params.n || params.n == 0) return false;
   std::vector<bool> seen(params.n + 1, false);
   bool ok = true;
@@ -122,19 +117,6 @@ bool counts_safe(const Params& params, const Counts& counts) {
   // permutation and the generations agree: (a) and (b) hold, so pay for
   // the expansion only to run the message-system scan (c).
   return ok && message_system_consistent(params, counts.to_states());
-}
-
-}  // namespace
-
-bool is_safe_configuration(const Params& params,
-                           const pp::CountsConfiguration<ElectLeader>& counts) {
-  return counts_safe(params, counts);
-}
-
-bool is_safe_configuration(
-    const Params& params,
-    const pp::CommunityCountsConfiguration<ElectLeader>& counts) {
-  return counts_safe(params, counts);
 }
 
 }  // namespace ssle::core

@@ -21,7 +21,6 @@
 #include "core/agent.hpp"
 #include "core/elect_leader.hpp"
 #include "core/params.hpp"
-#include "pp/community_counts.hpp"
 #include "pp/counts.hpp"
 #include "pp/population.hpp"
 
@@ -56,14 +55,5 @@ bool is_safe_configuration(const Params& params,
 /// O(q) counter reads instead of n deep Agent copies per probe.
 bool is_safe_configuration(const Params& params,
                            const pp::CountsConfiguration<ElectLeader>& counts);
-
-/// Community-lifted twin: the registry keys carry (community, state) but
-/// safety is community-oblivious, so the same multiset pre-checks apply to
-/// the stripped state marginal.  A full state duplicated across communities
-/// shows up as two count-1 classes with the same rank — caught by the
-/// rank-permutation check, exactly as a count > 1 is on the uniform path.
-bool is_safe_configuration(
-    const Params& params,
-    const pp::CommunityCountsConfiguration<ElectLeader>& counts);
 
 }  // namespace ssle::core

@@ -234,9 +234,9 @@ class BlockLengthSampler {
 /// (blocked topologies lifted to (community, state) counts; the engine
 /// takes its exact per-interaction community path).  Arbitrary graphs do
 /// NOT qualify — their counts projection is not Markov — and must run on
-/// the naive pp::Simulator; analysis::stabilize routes them there at
-/// runtime (analysis/measure.hpp) instead of surfacing this concept's
-/// compile-time wall to end users.
+/// the naive pp::Simulator; analysis::epidemic_convergence routes them
+/// there at runtime (analysis/measure.hpp) instead of surfacing this
+/// concept's compile-time wall to end users.
 template <typename C, typename P>
 concept LumpableTopology =
     Protocol<P> &&

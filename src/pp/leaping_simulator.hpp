@@ -149,7 +149,7 @@ class LeapingSimulator {
                 "LeapingSimulator requires a deterministic transition "
                 "function: pair types must be durably null or active.  "
                 "Randomized-δ protocols are rejected at compile time; "
-                "analysis::stabilize routes them to the batched engine.");
+                "run them on the batched or naive engine.");
   static_assert(kNarrowRegistry<P>,
                 "LeapingSimulator requires a narrow registry (declare "
                 "P::kNarrowRegistry after checking the reachable state "

@@ -76,8 +76,8 @@ inline constexpr bool kNarrowRegistry = [] {
 /// Leap eligibility: deterministic δ (pair types have fixed outputs, so a
 /// pair type is durably "null" or "active") AND a narrow registry (the
 /// O(q²) pair-type table is affordable and closes).  The leap engine
-/// static_asserts this; `analysis::stabilize(Engine::kLeaping, …)` routes
-/// ineligible protocols to the batched engine instead.
+/// static_asserts this; `analysis::stabilize_derandomized(Engine::kLeaping,
+/// …)` routes its ineligible protocol to the batched engine instead.
 template <typename P>
 concept LeapEligible = DeterministicDelta<P> && kNarrowRegistry<P>;
 

@@ -1,5 +1,7 @@
 // Minimal command-line option parsing for the bench/example binaries.
-// Supports "--key=value" and "--flag" forms; anything unknown is reported.
+// Supports "--key=value" and "--flag" forms.  Every getter records the key
+// it reads; reject_unknown_flags(), called once a binary has read all of
+// its flags, exits 2 naming any given flag that nothing read.
 //
 // Numeric getters are strict: a present-but-unparseable value (e.g.
 // "--n=abc", "--x=1.2.3") prints a clear error and exits with status 2
@@ -9,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -39,11 +42,21 @@ class Cli {
   /// Absent or 0 means "all hardware threads" (resolved by the runner).
   std::size_t get_jobs() const { return get_count("jobs", 0); }
 
+  /// Exits with status 2 when a `--flag` was given that no getter or has()
+  /// has read, naming each such flag and listing the flags that were read
+  /// (a typo'd or removed flag must not silently run the default).  Call it
+  /// after the binary has read every flag it takes.
+  void reject_unknown_flags() const;
+
   /// Positional (non --option) arguments.
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  /// The value given for `key` (nullptr when absent); records the read.
+  const std::string* find(const std::string& key) const;
+
   std::map<std::string, std::string> options_;
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
 };
 

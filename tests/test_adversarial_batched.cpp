@@ -1,10 +1,11 @@
 // Batched adversarial starts: the counts projection of every corruption
 // class must recover like the naive engine does.
 //
-// analysis::stabilize(kBatched, kAdversarial, …) projects
+// stabilize_batched (batched_elect.hpp) projects
 // core::make_adversarial_config through CountsConfiguration and advances
-// it with the batched engine; both engines draw the *same* start from the
-// same substream, so for every core::Corruption kind the recovery-time
+// it with the batched engine, the q ≈ n kernel path the fault runner's soak
+// takes; analysis::stabilize draws the *same* start from the same substream
+// on the naive engine, so for every core::Corruption kind the recovery-time
 // distributions must agree (statistically — the engines consume scheduler
 // randomness differently).  This is the adversarial counterpart of the
 // clean-start equivalence suite in test_batched_simulator.cpp.
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "analysis/measure.hpp"
+#include "batched_elect.hpp"
 #include "core/adversary.hpp"
 #include "core/params.hpp"
 #include "pp/counts.hpp"
@@ -51,15 +53,14 @@ TEST_P(AdversarialEquivalence, RecoveryTimesMatchNaive) {
 
   std::vector<double> naive, batched;
   for (int t = 0; t < trials; ++t) {
-    const auto rn = stabilize(Engine::kNaive, StartKind::kAdversarial, p,
-                              corruption, 500 + t, budget);
+    const auto rn =
+        stabilize(StartKind::kAdversarial, p, corruption, 500 + t, budget);
     ASSERT_TRUE(rn.converged)
         << corruption_name(corruption) << " naive seed " << 500 + t;
     EXPECT_EQ(rn.leaders, 1u);
     naive.push_back(static_cast<double>(rn.interactions));
 
-    const auto rb = stabilize(Engine::kBatched, StartKind::kAdversarial, p,
-                              corruption, 7500 + t, budget);
+    const auto rb = stabilize_batched(p, corruption, 7500 + t, budget);
     ASSERT_TRUE(rb.converged)
         << corruption_name(corruption) << " batched seed " << 7500 + t;
     EXPECT_EQ(rb.leaders, 1u);
@@ -99,10 +100,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(AdversarialBatched, DeterministicPerSeed) {
   const Params p = Params::make(16, 8);
   const std::uint64_t budget = 8 * default_budget(p);
-  const auto a = stabilize(Engine::kBatched, StartKind::kAdversarial, p,
-                           Corruption::kRandomStates, 3, budget);
-  const auto b = stabilize(Engine::kBatched, StartKind::kAdversarial, p,
-                           Corruption::kRandomStates, 3, budget);
+  const auto a = stabilize_batched(p, Corruption::kRandomStates, 3, budget);
+  const auto b = stabilize_batched(p, Corruption::kRandomStates, 3, budget);
   EXPECT_EQ(a.converged, b.converged);
   EXPECT_EQ(a.interactions, b.interactions);
   EXPECT_EQ(a.leaders, b.leaders);

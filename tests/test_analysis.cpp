@@ -60,7 +60,7 @@ TEST(Measure, DefaultBudgetScalesInverselyWithR) {
 
 TEST(Measure, CleanStabilizationReportsParallelTime) {
   const Params p = Params::make(16, 8);
-  const auto res = stabilize(Engine::kNaive, p, 3, default_budget(p));
+  const auto res = stabilize(p, 3, default_budget(p));
   ASSERT_TRUE(res.converged);
   EXPECT_DOUBLE_EQ(res.parallel_time,
                    static_cast<double>(res.interactions) / p.n);
@@ -70,14 +70,14 @@ TEST(Measure, CleanStabilizationReportsParallelTime) {
 TEST(Measure, NonConvergenceReported) {
   const Params p = Params::make(16, 8);
   // Ridiculously small budget: cannot converge.
-  const auto res = stabilize(Engine::kNaive, p, 3, 10);
+  const auto res = stabilize(p, 3, 10);
   EXPECT_FALSE(res.converged);
 }
 
 TEST(Measure, AdversarialUsesDistinctGeneratorStream) {
   const Params p = Params::make(16, 8);
   const auto a =
-      stabilize(Engine::kNaive, StartKind::kAdversarial, p, Corruption::kNone,
+      stabilize(StartKind::kAdversarial, p, Corruption::kNone,
                 3, default_budget(p));
   // kNone is already safe: zero interactions needed.
   EXPECT_TRUE(a.converged);

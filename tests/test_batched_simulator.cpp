@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/measure.hpp"
+#include "batched_elect.hpp"
 #include "core/elect_leader.hpp"
 #include "core/params.hpp"
 #include "pp/epidemic.hpp"
@@ -471,16 +472,14 @@ TEST(BatchedEquivalence, TinyPopulationLawMatches) {
 
 double elect_leader_time_naive(const core::Params& params, std::uint64_t seed,
                                std::uint64_t budget) {
-  const auto res =
-      analysis::stabilize(analysis::Engine::kNaive, params, seed, budget);
+  const auto res = analysis::stabilize(params, seed, budget);
   EXPECT_TRUE(res.converged);
   return res.parallel_time;
 }
 
 double elect_leader_time_batched(const core::Params& params,
                                  std::uint64_t seed, std::uint64_t budget) {
-  const auto res =
-      analysis::stabilize(analysis::Engine::kBatched, params, seed, budget);
+  const auto res = analysis::stabilize_batched(params, seed, budget);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.leaders, 1u);
   return res.parallel_time;

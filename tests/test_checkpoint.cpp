@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/churn.hpp"
 #include "analysis/measure.hpp"
 #include "core/adversary.hpp"
 #include "core/elect_leader.hpp"
@@ -202,51 +203,11 @@ TEST(CheckpointRestore, BatchedContinuationIsBitIdentical) {
   std::remove(path.c_str());
 }
 
-// --- the stabilize() ProbeOptions plumbing --------------------------------
-
-// An interrupted stabilize run (budget exhausted mid-flight, checkpoint on
-// disk) re-invoked with the full budget must land exactly where a single
-// uninterrupted checkpointed run lands.
-void stabilize_resume_case(Engine engine, const char* tag) {
-  const Params p = Params::make(64, 8);
-  const std::uint64_t budget = analysis::default_budget(p);
-  const std::uint64_t seed = 31;
-
-  analysis::ProbeOptions full_probes;
-  full_probes.probe_every = 100;
-  full_probes.checkpoint_every = 1000;
-  full_probes.checkpoint_path = tmp_path((std::string("full_") + tag).c_str());
-  std::remove(full_probes.checkpoint_path.c_str());
-  const auto full = analysis::stabilize(
-      engine, analysis::StartKind::kClean, p, core::Corruption::kNone, seed,
-      budget, {}, full_probes);
-  ASSERT_TRUE(full.converged);
-  ASSERT_GT(full.interactions, 2000u) << "case too easy to exercise resume";
-
-  analysis::ProbeOptions cut_probes = full_probes;
-  cut_probes.checkpoint_path = tmp_path((std::string("cut_") + tag).c_str());
-  std::remove(cut_probes.checkpoint_path.c_str());
-  const auto cut = analysis::stabilize(
-      engine, analysis::StartKind::kClean, p, core::Corruption::kNone, seed,
-      full.interactions / 2, {}, cut_probes);
-  ASSERT_FALSE(cut.converged);
-  const auto resumed = analysis::stabilize(
-      engine, analysis::StartKind::kClean, p, core::Corruption::kNone, seed,
-      budget, {}, cut_probes);
-  EXPECT_TRUE(resumed.converged);
-  EXPECT_EQ(resumed.interactions, full.interactions);
-  EXPECT_EQ(resumed.leaders, full.leaders);
-  std::remove(full_probes.checkpoint_path.c_str());
-  std::remove(cut_probes.checkpoint_path.c_str());
-}
-
-TEST(CheckpointStabilize, BatchedResumeLandsIdentically) {
-  stabilize_resume_case(Engine::kBatched, "batched");
-}
+// --- resuming a fault-plan run ---------------------------------------------
 
 // A checkpoint from the removed multi-shard engine ("sharded:2", two
-// registry lists) must stop a resuming run with exit 2, never be ignored
-// or silently replaced by a fresh start.
+// registry lists) must stop a resuming fault-plan run with exit 2, never be
+// ignored or silently replaced by a fresh start.
 TEST(CheckpointStabilizeDeath, RemovedEngineCheckpointExits) {
   const Params p = Params::make(16, 8);
   const core::ElectLeader protocol(p);
@@ -258,16 +219,26 @@ TEST(CheckpointStabilizeDeath, RemovedEngineCheckpointExits) {
   doc.shards.push_back({doc.shards[0].back()});
   doc.shards[0].pop_back();
 
-  analysis::ProbeOptions probes;
-  probes.checkpoint_every = 1000;
-  probes.checkpoint_path = tmp_path("removed_engine");
-  ASSERT_TRUE(checkpoint_save(probes.checkpoint_path, doc));
-  EXPECT_EXIT(analysis::stabilize(Engine::kBatched,
-                                  analysis::StartKind::kClean, p,
-                                  core::Corruption::kNone, 1,
-                                  analysis::default_budget(p), {}, probes),
+  // A fault cursor consistent with the plan, so the resume gets past the
+  // cursor checks to the engine restore.
+  analysis::FaultPlan plan;
+  plan.rules.push_back({analysis::FaultAction::kCorrupt,
+                        analysis::FaultTiming::kPeriodic, 1000, 1});
+  plan.horizon = 5000;
+  plan.probe_every = 100;
+  analysis::FaultCursor cursor;
+  cursor.t = doc.interactions;
+  cursor.fault_rng = {1, 2, 3, 4};
+  cursor.next = {1000};
+  doc.cursor = analysis::fault_cursor_to_json(cursor);
+
+  analysis::FaultRunOptions opts;
+  opts.checkpoint_path = tmp_path("removed_engine");
+  opts.checkpoint_every = 1000;
+  ASSERT_TRUE(checkpoint_save(opts.checkpoint_path, doc));
+  EXPECT_EXIT(analysis::run_fault_plan(Engine::kBatched, p, plan, 1, opts),
               ::testing::ExitedWithCode(2), "does not restore");
-  std::remove(probes.checkpoint_path.c_str());
+  std::remove(opts.checkpoint_path.c_str());
 }
 
 }  // namespace

@@ -425,7 +425,8 @@ TEST(CommunityEngine, CompactionMidRunStaysExact) {
 }
 
 // ---------------------------------------------------------------------------
-// analysis::stabilize / epidemic_convergence Engine × Topology dispatch.
+// epidemic_convergence's Engine × Topology dispatch; analysis::stabilize's
+// topology schedulers.
 // ---------------------------------------------------------------------------
 
 TEST(TopologyDispatch, ParsesEverySpecForm) {
@@ -548,16 +549,12 @@ TEST(TopologyDispatch, CompleteTopologyDelegatesToTheUniformPath) {
 TEST(TopologyDispatch, StabilizeElectsOneLeaderOnIslands) {
   const core::Params params = core::Params::make(16, 8);
   const auto topo = analysis::topology_from_string("islands:2:1.0:0.5");
-  const auto budget = analysis::default_budget(params);
-  for (const auto engine : {analysis::Engine::kNaive,
-                            analysis::Engine::kBatched,
-                            analysis::Engine::kLeaping}) {
-    const auto res =
-        analysis::stabilize(engine, analysis::StartKind::kClean, params,
-                            core::Corruption::kNone, 21, budget, topo);
-    EXPECT_TRUE(res.converged) << analysis::engine_name(engine);
-    EXPECT_EQ(res.leaders, 1u) << analysis::engine_name(engine);
-  }
+  const auto res =
+      analysis::stabilize(analysis::StartKind::kClean, params,
+                          core::Corruption::kNone, 21,
+                          analysis::default_budget(params), topo);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.leaders, 1u);
 }
 
 TEST(TopologyDispatch, StabilizeRecoversFromAdversarialStartOnIslands) {
@@ -565,7 +562,7 @@ TEST(TopologyDispatch, StabilizeRecoversFromAdversarialStartOnIslands) {
   const auto topo = analysis::topology_from_string("islands:2:1.0:0.5");
   const auto budget = analysis::default_budget(params);
   const auto res = analysis::stabilize(
-      analysis::Engine::kBatched, analysis::StartKind::kAdversarial, params,
+      analysis::StartKind::kAdversarial, params,
       core::Corruption::kCorruptMessages, 33, budget, topo);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.leaders, 1u);

@@ -19,8 +19,7 @@ TEST(EdgeCases, SmallestPopulationStabilizes) {
   const Params p = Params::make(2, 1);
   EXPECT_EQ(p.r, 1u);
   EXPECT_EQ(p.num_groups(), 2u);
-  const auto res = analysis::stabilize(analysis::Engine::kNaive, p, 1,
-                                       analysis::default_budget(p));
+  const auto res = analysis::stabilize(p, 1, analysis::default_budget(p));
   ASSERT_TRUE(res.converged);
   EXPECT_EQ(res.leaders, 1u);
 }
@@ -29,8 +28,7 @@ TEST(EdgeCases, OddTinyPopulations) {
   for (std::uint32_t n : {3u, 5u, 7u}) {
     const Params p = Params::make(n, 1);
     const auto res =
-        analysis::stabilize(analysis::Engine::kNaive, p, 2,
-                            analysis::default_budget(p));
+        analysis::stabilize(p, 2, analysis::default_budget(p));
     ASSERT_TRUE(res.converged) << "n=" << n;
     EXPECT_EQ(res.leaders, 1u) << "n=" << n;
   }
@@ -144,7 +142,7 @@ TEST(EdgeCases, RecoveryOnTinyPopulation) {
   const Params p = Params::make(4, 2);
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const auto res = analysis::stabilize(
-        analysis::Engine::kNaive, analysis::StartKind::kAdversarial, p,
+        analysis::StartKind::kAdversarial, p,
         Corruption::kRandomStates, seed, 8 * analysis::default_budget(p));
     ASSERT_TRUE(res.converged) << "seed " << seed;
     EXPECT_EQ(res.leaders, 1u);

@@ -114,8 +114,7 @@ TEST_P(CleanStart, StabilizesWithUniqueLeader) {
   const auto [n, r] = GetParam();
   const Params p = Params::make(n, r);
   const auto res =
-      analysis::stabilize(analysis::Engine::kNaive, p, 42,
-                          analysis::default_budget(p));
+      analysis::stabilize(p, 42, analysis::default_budget(p));
   ASSERT_TRUE(res.converged) << "n=" << n << " r=" << r;
   EXPECT_EQ(res.leaders, 1u);
 }
@@ -131,8 +130,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ElectLeader, LightMultiplicityStabilizes) {
   const Params p = Params::make(64, 16, MessageMultiplicity::kLight);
-  const auto res = analysis::stabilize(analysis::Engine::kNaive, p, 7,
-                                       analysis::default_budget(p));
+  const auto res = analysis::stabilize(p, 7, analysis::default_budget(p));
   ASSERT_TRUE(res.converged);
   EXPECT_EQ(res.leaders, 1u);
 }
@@ -311,10 +309,8 @@ TEST(ElectLeaderGolden, CleanNaiveDerandomizedRunIsPinned) {
 
 TEST(ElectLeader, StabilizationIsDeterministicPerSeed) {
   const Params p = Params::make(16, 8);
-  const auto a = analysis::stabilize(analysis::Engine::kNaive, p, 5,
-                                     analysis::default_budget(p));
-  const auto b = analysis::stabilize(analysis::Engine::kNaive, p, 5,
-                                     analysis::default_budget(p));
+  const auto a = analysis::stabilize(p, 5, analysis::default_budget(p));
+  const auto b = analysis::stabilize(p, 5, analysis::default_budget(p));
   EXPECT_EQ(a.interactions, b.interactions);
   EXPECT_EQ(a.converged, b.converged);
 }

@@ -25,7 +25,7 @@ TEST_P(Recovery, ReachesSafeConfiguration) {
   const auto [corruption, n] = GetParam();
   const Params p = Params::make(n, std::max(1u, n / 4));
   const auto res = analysis::stabilize(
-      analysis::Engine::kNaive, analysis::StartKind::kAdversarial, p,
+      analysis::StartKind::kAdversarial, p,
       corruption, 123, 4 * analysis::default_budget(p));
   ASSERT_TRUE(res.converged)
       << corruption_name(corruption) << " n=" << n
@@ -119,7 +119,7 @@ TEST(Recovery, RandomStatesManySeeds) {
   const Params p = Params::make(16, 8);
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const auto res = analysis::stabilize(
-        analysis::Engine::kNaive, analysis::StartKind::kAdversarial, p,
+        analysis::StartKind::kAdversarial, p,
         Corruption::kRandomStates, seed, 6 * analysis::default_budget(p));
     ASSERT_TRUE(res.converged) << "seed=" << seed;
     EXPECT_EQ(res.leaders, 1u) << "seed=" << seed;

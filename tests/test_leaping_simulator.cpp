@@ -47,16 +47,6 @@ static_assert(!kNarrowRegistry<core::DerandomizedElectLeader>,
               "DerandomizedElectLeader keeps q ≈ n states: must not claim "
               "a narrow registry");
 
-TEST(LeapingRouting, StabilizeRoutesIneligibleProtocolsToBatched) {
-  // `--engine=leaping` must be safe on every workload: ElectLeader_r is
-  // not leap-eligible, so stabilize() silently runs the batched engine.
-  const core::Params params = core::Params::make(8, 4);
-  const auto res = analysis::stabilize(analysis::Engine::kLeaping, params,
-                                       7, analysis::default_budget(params));
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(res.leaders, 1u);
-}
-
 TEST(LeapingRouting, EngineParsingRoundTrips) {
   EXPECT_EQ(analysis::engine_from_string("leaping"),
             analysis::Engine::kLeaping);

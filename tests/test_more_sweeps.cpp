@@ -53,8 +53,7 @@ class OddSizes : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(OddSizes, CleanStartStabilizes) {
   const std::uint32_t n = GetParam();
   const Params p = Params::make(n, std::max(1u, n / 3));
-  const auto res = analysis::stabilize(analysis::Engine::kNaive, p, 11,
-                                       analysis::default_budget(p));
+  const auto res = analysis::stabilize(p, 11, analysis::default_budget(p));
   ASSERT_TRUE(res.converged) << "n=" << n;
   EXPECT_EQ(res.leaders, 1u);
 }
@@ -69,7 +68,7 @@ TEST(DegenerateR, RecoveryFromDuplicatesWithSingletonGroups) {
   // same-rank meetings (Θ(n²·log n) budget needed).
   const Params p = Params::make(12, 1);
   const auto res = analysis::stabilize(
-      analysis::Engine::kNaive, analysis::StartKind::kAdversarial, p,
+      analysis::StartKind::kAdversarial, p,
       Corruption::kDuplicateRanks, 17, 20 * analysis::default_budget(p));
   ASSERT_TRUE(res.converged);
   EXPECT_EQ(res.leaders, 1u);
@@ -80,8 +79,7 @@ TEST(DegenerateR, CleanStartAllRegimeBoundaries) {
     for (std::uint32_t r : {1u, n / 2}) {
       const Params p = Params::make(n, r);
       const auto res =
-          analysis::stabilize(analysis::Engine::kNaive, p, 19,
-                              analysis::default_budget(p));
+          analysis::stabilize(p, 19, analysis::default_budget(p));
       ASSERT_TRUE(res.converged) << "n=" << n << " r=" << r;
     }
   }
@@ -126,7 +124,7 @@ TEST(AblationKnobs, HardOnlyStillSelfStabilizes) {
   Params p = Params::make(16, 8);
   p.soft_reset_enabled = false;
   const auto res = analysis::stabilize(
-      analysis::Engine::kNaive, analysis::StartKind::kAdversarial, p,
+      analysis::StartKind::kAdversarial, p,
       Corruption::kCorruptMessages, 31, 20 * analysis::default_budget(p));
   ASSERT_TRUE(res.converged);  // slower, but still correct
   EXPECT_EQ(res.leaders, 1u);
@@ -136,7 +134,7 @@ TEST(AblationKnobs, NoBalanceStillDetectsEventually) {
   Params p = Params::make(16, 8);
   p.load_balancing_enabled = false;
   const auto res = analysis::stabilize(
-      analysis::Engine::kNaive, analysis::StartKind::kAdversarial, p,
+      analysis::StartKind::kAdversarial, p,
       Corruption::kDuplicateRanks, 37, 20 * analysis::default_budget(p));
   ASSERT_TRUE(res.converged);
   EXPECT_EQ(res.leaders, 1u);

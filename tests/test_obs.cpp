@@ -1,14 +1,14 @@
-// Observability layer: engine metrics reconciliation, counts-native
-// census/safety probes, the run journal, and the report envelope.
+// Observability layer: engine metrics reconciliation, the counts-native
+// safety probe, the run journal, and the report envelope.
 //
 // The counter invariants documented in obs/metrics.hpp are pinned here on
 // every engine:
 //   * interactions_iterated + interactions_leapt == interactions;
 //   * community_pair_draws == interactions on the community path;
 //   * delta_cache_misses == delta_cache_entries while clears == 0.
-// The counts-native census/safety overloads must agree field-for-field
-// with the agent-vector functions applied to to_states() of the same
-// registry — the property that makes O(q) phase probes trustworthy.
+// The counts-native safety probe must agree with the agent-vector predicate
+// applied to to_states() of the same registry — the property that makes
+// the fault runner's O(q) probes trustworthy.
 #include "obs/journal.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/census.hpp"
 #include "analysis/measure.hpp"
 #include "analysis/trace.hpp"
 #include "core/adversary.hpp"
@@ -185,64 +184,14 @@ TEST(EngineMetrics, MergeSumsCountersAndTakesTheDepthMax) {
 }
 
 // ---------------------------------------------------------------------------
-// Counts-native census == agent-vector census (uniform + community).
+// Counts-native safety == agent-vector safety (the fault runner's probe).
 // ---------------------------------------------------------------------------
 
-void expect_census_eq(const analysis::Census& a, const analysis::Census& b) {
-  EXPECT_EQ(a.resetters, b.resetters);
-  EXPECT_EQ(a.rankers, b.rankers);
-  EXPECT_EQ(a.verifiers, b.verifiers);
-  EXPECT_EQ(a.leaders, b.leaders);
-  EXPECT_EQ(a.errors, b.errors);
-  EXPECT_EQ(a.total_messages, b.total_messages);
-  EXPECT_EQ(a.approx_bytes, b.approx_bytes);
-  EXPECT_EQ(a.distinct_generations, b.distinct_generations);
-  EXPECT_EQ(a.max_rank_multiplicity, b.max_rank_multiplicity);
-}
-
-TEST(CountsCensus, AgreesWithAgentVectorOnEveryCorruptionClass) {
-  const core::Params params = core::Params::make(24, 6);
-  std::uint64_t seed = 100;
-  for (const auto corruption : core::all_corruptions()) {
-    SCOPED_TRACE(core::corruption_name(corruption));
-    util::Rng rng(seed++);
-    const auto config =
-        core::make_adversarial_config(params, corruption, rng);
-    const pp::CountsConfiguration<core::ElectLeader> counts(config);
-    expect_census_eq(analysis::take_census(params, counts),
-                     analysis::take_census(params, counts.to_states()));
-  }
-}
-
-TEST(CountsCensus, CommunityAgreesWithAgentVector) {
-  const core::Params params = core::Params::make(20, 5);
-  std::uint64_t seed = 300;
-  for (const auto corruption : core::all_corruptions()) {
-    SCOPED_TRACE(core::corruption_name(corruption));
-    util::Rng rng(seed++);
-    const auto config =
-        core::make_adversarial_config(params, corruption, rng);
-    const pp::CommunityCountsConfiguration<core::ElectLeader> counts(
-        config, pp::BlockedTopology::islands(20, 4, 1.0, 0.2));
-    expect_census_eq(analysis::take_census(params, counts),
-                     analysis::take_census(params, counts.to_states()));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Counts-native safety == agent-vector safety (community path).
-// ---------------------------------------------------------------------------
-
-TEST(CountsSafety, CommunityAgreesWithAgentVector) {
+TEST(CountsSafety, AgreesWithAgentVector) {
   const core::Params params = core::Params::make(16, 8);
-  const auto blocked = [] {
-    return pp::BlockedTopology::islands(16, 2, 1.0, 0.5);
-  };
 
-  // A safe multiset stays safe through the community lift, even though
-  // the lift splits states across communities.
-  const pp::CommunityCountsConfiguration<core::ElectLeader> safe(
-      core::make_safe_config(params), blocked());
+  const pp::CountsConfiguration<core::ElectLeader> safe(
+      core::make_safe_config(params));
   EXPECT_TRUE(core::is_safe_configuration(params, safe));
   EXPECT_TRUE(core::is_safe_configuration(params, safe.to_states()));
 
@@ -250,35 +199,11 @@ TEST(CountsSafety, CommunityAgreesWithAgentVector) {
   for (const auto corruption : core::all_corruptions()) {
     SCOPED_TRACE(core::corruption_name(corruption));
     util::Rng rng(seed++);
-    const pp::CommunityCountsConfiguration<core::ElectLeader> counts(
-        core::make_adversarial_config(params, corruption, rng), blocked());
+    const pp::CountsConfiguration<core::ElectLeader> counts(
+        core::make_adversarial_config(params, corruption, rng));
     EXPECT_EQ(core::is_safe_configuration(params, counts),
               core::is_safe_configuration(params, counts.to_states()));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Trace: counts-native records match agent-vector records.
-// ---------------------------------------------------------------------------
-
-TEST(Trace, CountsNativeRecordMatchesAgentVectorRecord) {
-  const core::Params params = core::Params::make(24, 6);
-  util::Rng rng(41);
-  const auto config = core::make_adversarial_config(
-      params, core::all_corruptions().front(), rng);
-  const pp::CountsConfiguration<core::ElectLeader> counts(config);
-
-  analysis::Trace native(params);
-  analysis::Trace expanded(params);
-  native.record(0, counts);
-  expanded.record(0, counts.to_states());
-
-  ASSERT_EQ(native.points().size(), 1u);
-  ASSERT_EQ(expanded.points().size(), 1u);
-  EXPECT_EQ(native.points()[0].interactions, 0u);
-  expect_census_eq(native.points()[0].census, expanded.points()[0].census);
-  EXPECT_EQ(native.first_safe().has_value(),
-            expanded.first_safe().has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -485,12 +410,12 @@ TEST(ProbeOptions, StabilizeFillsTraceJournalAndMetrics) {
   probes.probe_every = params.n;
 
   const auto res = analysis::stabilize(
-      analysis::Engine::kBatched, analysis::StartKind::kAdversarial, params,
+      analysis::StartKind::kAdversarial, params,
       core::all_corruptions().front(), 9,
       8 * analysis::default_budget(params), {}, probes);
 
   ASSERT_TRUE(res.converged);
-  EXPECT_STREQ(res.metrics.engine, "batched");
+  EXPECT_STREQ(res.metrics.engine, "naive");
   EXPECT_EQ(res.metrics.interactions, res.interactions);
   ASSERT_FALSE(trace.points().empty());
   // The probe grid saw the run end safe.

@@ -52,8 +52,7 @@ TEST(ParallelSweep, ElectLeaderStabilizationIsBitIdenticalToSerial) {
   // RNG streams from its seed, so the parallel result is the serial one.
   const core::Params params = core::Params::make(32, 16);
   const auto measure = [&](std::uint64_t seed) {
-    const auto run = stabilize(Engine::kNaive, params, seed,
-                               default_budget(params));
+    const auto run = stabilize(params, seed, default_budget(params));
     return run.converged ? static_cast<double>(run.interactions) : -1.0;
   };
   const auto serial = sweep(7, 8, measure);

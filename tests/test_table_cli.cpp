@@ -133,5 +133,47 @@ TEST(Cli, GetCountParsesAndFallsBack) {
   EXPECT_EQ(cli.get_count("absent", 5), 5u);
 }
 
+// --n=-5 used to wrap to ~4·10^9 agents at a uint32 cast and abort in the
+// allocator; population-size flags reject it, and anything above 2^32−1.
+TEST(CliDeathTest, NegativeCountU32ExitsWithError) {
+  const char* argv[] = {"prog", "--n=-5"};
+  Cli cli(2, const_cast<char**>(argv));
+  EXPECT_EXIT(cli.get_count_u32("n", 64), ::testing::ExitedWithCode(2),
+              "--n=-5 is not a valid non-negative count");
+}
+
+TEST(CliDeathTest, CountAbove32BitsExitsWithError) {
+  const char* argv[] = {"prog", "--n=4294967296"};
+  Cli cli(2, const_cast<char**>(argv));
+  EXPECT_EXIT(cli.get_count_u32("n", 64), ::testing::ExitedWithCode(2),
+              "--n=4294967296 is not a valid 32-bit count");
+}
+
+TEST(Cli, UnknownFlagCheckPassesWhenEveryFlagWasRead) {
+  const char* argv[] = {"prog", "--n=8", "--fresh", "pos"};
+  Cli cli(4, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_count_u32("n", 64), 8u);
+  EXPECT_TRUE(cli.has("fresh"));
+  EXPECT_EQ(cli.get_string("absent", "x"), "x");
+  cli.reject_unknown_flags();  // returns: nothing unread
+}
+
+TEST(CliDeathTest, UnreadFlagsExitNamingThemAndTheReadOnes) {
+  const char* argv[] = {"prog", "--n=8", "--engine=batched", "--trails=3"};
+  Cli cli(4, const_cast<char**>(argv));
+  cli.get_count_u32("n", 64);
+  cli.get_count("trials", 5);
+  EXPECT_EXIT(cli.reject_unknown_flags(), ::testing::ExitedWithCode(2),
+              "unknown flags --engine, --trails \\(this binary reads --n, "
+              "--trials\\)");
+}
+
+TEST(CliDeathTest, UnreadFlagWithNothingReadSaysSo) {
+  const char* argv[] = {"prog", "--engine=batched"};
+  Cli cli(2, const_cast<char**>(argv));
+  EXPECT_EXIT(cli.reject_unknown_flags(), ::testing::ExitedWithCode(2),
+              "unknown flag --engine \\(this binary reads no flags\\)");
+}
+
 }  // namespace
 }  // namespace ssle::util
