@@ -35,7 +35,7 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint32_t kEpiN = 50000;            // memo + obs gates
 constexpr std::uint64_t kEpiWork = 50ull * kEpiN;
-constexpr std::uint64_t kSweepN = 100000;         // leap gate
+constexpr std::uint64_t kSweepN = 10000000;       // leap gate
 constexpr std::size_t kSweepTrials = 4;
 constexpr std::uint32_t kFlatN = 50000;           // flat gate
 constexpr std::uint64_t kFlatWork = 100000;

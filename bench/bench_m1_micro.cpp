@@ -2,9 +2,10 @@
 // interaction throughput of each protocol, the scheduler, the heavy
 // DetectCollision inner loops, and a per-interaction cost breakdown of the
 // batched engine's hot path (state copy vs hash vs Fenwick update vs δ
-// call vs intern vs δ-cache lookup), so end-to-end engine ratios can be
-// decomposed into their components.  Not a paper claim; establishes the
-// simulation cost model used to size the other experiments.
+// call vs intern vs δ-cache lookup), and the leaping engine's per-window
+// binomial draw, so end-to-end engine ratios can be decomposed into their
+// components.  Not a paper claim; establishes the simulation cost model
+// used to size the other experiments.
 //
 // `--json=<path>` maps to google-benchmark's JSON reporter
 // (--benchmark_out=<path> --benchmark_out_format=json), matching the
@@ -26,7 +27,9 @@
 #include "pp/batched_simulator.hpp"
 #include "pp/delta_cache.hpp"
 #include "pp/interner.hpp"
+#include "pp/leaping_simulator.hpp"
 #include "pp/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -155,6 +158,22 @@ void BM_LooseLeader(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_LooseLeader)->Arg(1024);
+
+// One leap window's candidate draw, C ~ B(⌊4096/p⌋, p): E[C] = 4096 as in
+// the leaping engine's windows, from the n = 10^10 epidemic's p ≈ 10^-6 to
+// p = ½ and the reflected side p > ½.  range(0) indexes kP.
+void BM_Binomial(benchmark::State& state) {
+  constexpr double kP[] = {1e-6, 0.5, 0.99};
+  const double p = kP[state.range(0)];
+  const auto trials = static_cast<std::uint64_t>(4096.0 / p);
+  util::Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pp::sample_binomial(rng, trials, p));
+  }
+  state.SetLabel("trials=" + std::to_string(trials) +
+                 " p=" + std::to_string(p));
+}
+BENCHMARK(BM_Binomial)->DenseRange(0, 2);
 
 // ---------------------------------------------------------------------------
 // Batched-engine hot-path breakdown (ISSUE 5): the per-interaction cost of

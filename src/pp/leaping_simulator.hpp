@@ -90,14 +90,16 @@
 //
 // Cost per active interaction is O(1) with tiny constants plus an O(A)
 // classification walk (A = number of active pair types); per *window* an
-// O(A) envelope rebuild and one O(σ) binomial draw, amortized over
-// ~2·cap/3 candidates.  For the epidemic (q = 2, A = 2) the n = 10^10 Lemma A.2 sweep
-// — 2.3·10^11 interactions, 10^10 of them active — runs in tens of
-// seconds; the 2.2·10^11 null interactions cost *zero* iterations.  Where
-// active types carry most of the weight (LooseLeaderElection's
-// follower×follower timer decrements, q ≈ n random starts) W̄ ≈ W_tot and
-// leaping degrades gracefully to ~1 candidate per interaction — exact but
-// no faster than batched; ROADMAP records those honest numbers.
+// O(A) envelope rebuild and one binomial draw in O(1) expected time,
+// amortized over ~2·cap/3 candidates.  For the epidemic (q = 2, A = 2) the
+// n = 10^10 Lemma A.2 run — 2.3·10^11 interactions, 10^10 of them active —
+// takes well under a second (perfbench epidemic-leaping; ROADMAP
+// Perf/limits has the number); the 2.2·10^11 null interactions cost *zero*
+// iterations.  Where active types carry most of the weight
+// (LooseLeaderElection's follower×follower timer decrements, q ≈ n random
+// starts) W̄ ≈ W_tot and leaping degrades gracefully to ~1 candidate per
+// interaction — exact but no faster than batched; ROADMAP records those
+// honest numbers.
 //
 // Numerical contract: weights are products of counts in double (exact
 // below 2^53, ≤ 1e-16 relative above — same standard as the batched
@@ -134,13 +136,15 @@
 
 namespace ssle::pp {
 
-/// Exact binomial draw B(trials, p) by mode-centered inverse transform in
-/// log space (pmf recurrence outward from the mode, expected O(σ) visited
-/// support points).  Floating-point residue is attributed to the outermost
-/// *visited* support point on the heavier side — an O(double-epsilon)
-/// overweight of that endpoint; the same tail policy as
-/// sample_hypergeometric, and for the same reason: the uncovered sliver
-/// lives in the tails, not at the mode.
+/// Exact binomial draw B(trials, p), O(1) expected time.  When
+/// trials·min(p, 1−p) ≥ 10 it is Hörmann's BTRS transformed rejection
+/// (p > ½ draws trials − B(trials, 1−p)); below that it is a mode-centred
+/// inverse transform in log space that visits ≈ 3σ ≤ 10 support points.
+/// Only that small-mean walk has a tail-residue policy: floating-point
+/// residue goes to the outermost *visited* support point on the heavier
+/// side, an O(double-epsilon) overweight of that endpoint, as in
+/// sample_hypergeometric.  p ≤ 0 gives 0 and p ≥ 1 gives trials; a
+/// non-finite p aborts naming sample_binomial.
 std::uint64_t sample_binomial(util::Rng& rng, std::uint64_t trials, double p);
 
 template <Protocol P>
@@ -501,8 +505,12 @@ class LeapingSimulator {
     std::uint64_t m = remaining;
     const double target = 2.0 * static_cast<double>(event_cap_) / 3.0;
     if (static_cast<double>(m) * pbar > target) {
-      m = std::max<std::uint64_t>(1,
-                                  static_cast<std::uint64_t>(target / pbar));
+      // target / pbar < m but for rounding; the test keeps the window
+      // inside `remaining` and the cast below m ≤ 2^64.
+      const double slots = target / pbar;
+      if (slots < static_cast<double>(m)) {
+        m = std::max<std::uint64_t>(1, static_cast<std::uint64_t>(slots));
+      }
     }
     const std::uint64_t c = sample_binomial(rng_, m, pbar);
     run_piece(m, c, wbar);

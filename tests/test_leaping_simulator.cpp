@@ -28,6 +28,7 @@
 #include "core/elect_leader.hpp"
 #include "core/params.hpp"
 #include "pp/epidemic.hpp"
+#include "pp/log_combinatorics.hpp"
 #include "pp/simulator.hpp"
 
 namespace ssle::pp {
@@ -552,6 +553,147 @@ TEST(Binomial, HugeTrialsTinyPStaysOnTheoryMean) {
   const double mean = sum / draws;
   const double se = 31.6 / std::sqrt(static_cast<double>(draws));
   EXPECT_NEAR(mean, 1000.0, 5.0 * se);
+}
+
+/// Fixed-seed χ² of 10^6 samples of B(trials, p) against the exact pmf,
+/// built by the recurrence p(k+1)/p(k) = (trials−k)/(k+1)·p/(1−p) outward
+/// from the mode and normalised over mean ± 9σ (the mass beyond is below
+/// 1e-10 for every case here).  Bins are consecutive support points merged
+/// until each expects ≥ 20 draws; the end bins take the tails.  Returns
+/// how far χ² sits above the P ≈ 0.001 critical value (Wilson–Hilferty),
+/// so a passing case returns a negative number.
+double binomial_chi2_excess(std::uint64_t seed, std::uint64_t trials,
+                            double p) {
+  constexpr int draws = 1'000'000;
+  const double nd = static_cast<double>(trials);
+  const double mean = nd * p;
+  const double sd = std::sqrt(mean * (1.0 - p));
+  const auto lo = static_cast<std::uint64_t>(std::max(0.0, mean - 9.0 * sd));
+  const auto hi = static_cast<std::uint64_t>(std::min(nd, mean + 9.0 * sd));
+  const auto mode = std::clamp(
+      static_cast<std::uint64_t>((nd + 1.0) * p), lo, hi);
+  std::vector<double> pmf(hi - lo + 1, 0.0);
+  const double odds = p / (1.0 - p);
+  pmf[mode - lo] = 1.0;
+  for (std::uint64_t k = mode; k < hi; ++k) {
+    const double kd = static_cast<double>(k);
+    pmf[k + 1 - lo] = pmf[k - lo] * (nd - kd) / (kd + 1.0) * odds;
+  }
+  for (std::uint64_t k = mode; k > lo; --k) {
+    const double kd = static_cast<double>(k);
+    pmf[k - 1 - lo] = pmf[k - lo] * kd / ((nd - kd + 1.0) * odds);
+  }
+  double total = 0.0;
+  for (const double w : pmf) total += w;
+
+  // bin_of[k − lo] = bin index; a bin closes once it expects ≥ 20 draws,
+  // and a short last bin folds into its predecessor.
+  std::vector<std::size_t> bin_of(pmf.size());
+  std::vector<double> expect{0.0};
+  for (std::size_t i = 0; i < pmf.size(); ++i) {
+    if (expect.back() >= 20.0) expect.push_back(0.0);
+    bin_of[i] = expect.size() - 1;
+    expect.back() += pmf[i] / total * draws;
+  }
+  if (expect.size() > 1 && expect.back() < 20.0) {
+    for (auto& b : bin_of) b = std::min(b, expect.size() - 2);
+    expect[expect.size() - 2] += expect.back();
+    expect.pop_back();
+  }
+
+  util::Rng rng(seed);
+  std::vector<double> observed(expect.size(), 0.0);
+  int out_of_support = 0;
+  for (int i = 0; i < draws; ++i) {
+    const std::uint64_t k = sample_binomial(rng, trials, p);
+    if (k > trials) ++out_of_support;
+    observed[bin_of[std::clamp(k, lo, hi) - lo]] += 1.0;
+  }
+  EXPECT_EQ(out_of_support, 0) << "trials=" << trials << " p=" << p;
+  EXPECT_GE(expect.size(), 3u) << "trials=" << trials << " p=" << p;
+
+  double chi2 = 0.0;
+  for (std::size_t b = 0; b < expect.size(); ++b) {
+    chi2 += (observed[b] - expect[b]) * (observed[b] - expect[b]) / expect[b];
+  }
+  const double dof = static_cast<double>(expect.size() - 1);
+  const double h = 2.0 / (9.0 * dof);
+  const double crit = dof * std::pow(1.0 - h + 3.09 * std::sqrt(h), 3.0);
+  return chi2 - crit;
+}
+
+TEST(Binomial, BtrsMatchesExactPmfAtEngineWindowShapes) {
+  // The leap window's own shapes: E[C] = 4096 at trials = ⌊4096/p⌋, from
+  // the n = 10^10 epidemic's p ≈ 10^-6 to p = ½, and the reflected side
+  // (p > ½ draws trials − B(trials, 1 − p)).
+  std::uint64_t seed = 2000;
+  for (const double p : {1e-6, 0.01, 0.5, 0.9, 0.99}) {
+    const auto trials = static_cast<std::uint64_t>(4096.0 / p);
+    EXPECT_LT(binomial_chi2_excess(++seed, trials, p), 0.0)
+        << "trials=" << trials << " p=" << p;
+  }
+}
+
+TEST(Binomial, BtrsMatchesExactPmfAtHugeTrials) {
+  // trials = 10^10, where every log-factorial is ≈ 2·10^11: the acceptance
+  // bound must be built from terms of size O(σ), not their differences.
+  EXPECT_LT(binomial_chi2_excess(3001, 10'000'000'000ull, 1e-7), 0.0);
+}
+
+TEST(Binomial, SwitchBoundaryMatchesExactPmf) {
+  // trials·min(p, 1 − p) = 9.5 runs the inversion walk; 10 and 12 run
+  // BTRS at the smallest means it is valid for.  Both sides at trials =
+  // 10^3 and at trials = 10^10, where the walk's pmf at the mode must not
+  // come from a difference of log-factorials.
+  std::uint64_t seed = 4000;
+  for (const std::uint64_t trials : {1000ull, 10'000'000'000ull}) {
+    for (const double mean : {9.5, 10.0, 12.0}) {
+      const double p = mean / static_cast<double>(trials);
+      EXPECT_LT(binomial_chi2_excess(++seed, trials, p), 0.0)
+          << "trials=" << trials << " p=" << p;
+    }
+  }
+}
+
+TEST(Binomial, LogChooseStirlingMatchesLogSum) {
+  // Reference: log C(n, r) = Σ_{j<r} ln((n − j)/(j + 1)), ≈ 1e-13 exact for
+  // r ≤ 20.  log_choose is off by up to ≈ 3·10^-5 at n = 10^10.
+  for (const std::uint64_t n : {30ull, 1000ull, 4'000'000'000ull,
+                                10'000'000'000ull}) {
+    for (const std::uint64_t r : {0ull, 1ull, 5ull, 20ull}) {
+      double sum = 0.0;
+      for (std::uint64_t j = 0; j < r; ++j) {
+        sum += std::log(static_cast<double>(n - j) /
+                        static_cast<double>(j + 1));
+      }
+      EXPECT_NEAR(log_choose_stirling(n, r), sum, 1e-12)
+          << "n=" << n << " r=" << r;
+      EXPECT_NEAR(log_choose_stirling(n, n - r), sum, 1e-12)
+          << "n=" << n << " r=n-" << r;
+    }
+  }
+}
+
+TEST(Binomial, StirlingTailMatchesItsDefinition) {
+  // fc(k) = ln k! − (k + ½)·ln(k + 1) + (k + 1) − ln√(2π): the table
+  // (k ≤ 9) and the series (beyond) against log_factorial's summed table.
+  // The direct form cancels terms of size ln k!, so the tolerance scales
+  // with it (≈ 1e-13 at the table, ≈ 6e-11 at k = 1023).
+  for (std::uint64_t k = 0; k < 1024; ++k) {
+    const double x = static_cast<double>(k);
+    const double direct = log_factorial(k) - (x + 0.5) * std::log(x + 1.0) +
+                          (x + 1.0) - kLnSqrt2Pi;
+    EXPECT_NEAR(stirling_tail(k), direct, 1e-14 * (1.0 + log_factorial(k)))
+        << "k=" << k;
+  }
+}
+
+TEST(BinomialDeathTest, NonFiniteProbabilityAborts) {
+  util::Rng rng(5);
+  EXPECT_DEATH(sample_binomial(rng, 1000, std::nan("")),
+               "sample_binomial: probability -?nan is not finite");
+  EXPECT_DEATH(sample_binomial(rng, 1000, HUGE_VAL), "sample_binomial");
+  EXPECT_DEATH(sample_binomial(rng, 0, -HUGE_VAL), "sample_binomial");
 }
 
 TEST(LeapingDeathTest, RejectsPopulationsBelowTwo) {
