@@ -1,14 +1,16 @@
 // Experiment E2 (extension) — the churn soak harness: ElectLeader_r under
 // composable fault schedules ({corrupt, join, leave} × {periodic, poisson,
-// recovery} + battery dropout) on the counts engines, with crash-safe
-// checkpoints, journal heartbeats, and soak gates.
+// recovery} + battery dropout) on the naive or batched engine, with
+// crash-safe checkpoints, journal heartbeats, and soak gates.
 //
 //   --n=, --r=, --seed=        population / parameter / seed
 //   --engine=<name>            naive | batched | leaping (leaping reroutes
 //                              loudly to batched: fault injection mutates
-//                              n between blocks).  naive runs the
-//                              independent agent-array twin
-//                              (analysis::run_fault_plan_naive)
+//                              n between blocks).  Both engines run the
+//                              same fault loop (analysis/churn.hpp) and
+//                              checkpoint alike.  naive is the fast one
+//                              on ElectLeader_r, whose q ≈ n states do
+//                              not compress into counts
 //   --protocol=elect|loose     elect (default): ElectLeader_r — the paper's
 //                              protocol; recovery is a full re-stabilization
 //                              (Θ(n²/r·log n)), so thousand-cycle soaks are
@@ -28,7 +30,8 @@
 //                              stops cleanly when it expires
 //   --probe-every=<int>        safety-probe grid (default n)
 //   --checkpoint=<path>        crash-safe checkpoint file; an existing
-//                              file auto-resumes (kill −9 safe)
+//                              file auto-resumes (kill −9 safe) on the
+//                              engine that wrote it
 //   --checkpoint-every=<int>   interactions between saves (default 64n)
 //   --fresh                    delete an existing checkpoint first
 //   --journal=<path>           JSONL heartbeats with live engine counters
@@ -39,7 +42,7 @@
 //                              1000), bounded registry allocation, and
 //                              last-decile recovery p95 ≤ 2× first-decile
 //
-// Availability vs fault rate on the naive twin, one point per run:
+// Availability vs fault rate on the naive engine, one point per run:
 //   --engine=naive --schedule=corrupt:periodic:<period>:<burst size>
 #include <algorithm>
 #include <charconv>

@@ -161,6 +161,26 @@ FaultPlan parse_fault_plan(const std::string& spec, std::uint64_t horizon,
 
 // --- FaultReport ----------------------------------------------------------
 
+namespace {
+
+/// The report's event counters by JSON key (the report and the cursor
+/// both carry them).
+constexpr std::pair<const char*, std::uint64_t FaultReport::*>
+    kReportCounters[] = {
+        {"probes", &FaultReport::probes},
+        {"probes_safe", &FaultReport::probes_safe},
+        {"probes_with_unique_leader",
+         &FaultReport::probes_with_unique_leader},
+        {"events", &FaultReport::events},
+        {"agents_corrupted", &FaultReport::agents_corrupted},
+        {"agents_joined", &FaultReport::agents_joined},
+        {"agents_left", &FaultReport::agents_left},
+        {"agents_drained", &FaultReport::agents_drained},
+};
+
+}  // namespace
+
+
 std::uint64_t FaultReport::recovery_quantile(double q) const {
   if (recovery_times.empty()) return 0;
   std::vector<std::uint64_t> sorted(recovery_times);
@@ -175,15 +195,9 @@ std::uint64_t FaultReport::recovery_quantile(double q) const {
 
 util::Json FaultReport::to_json() const {
   auto j = util::Json::object();
-  j.set("probes", static_cast<std::int64_t>(probes));
-  j.set("probes_safe", static_cast<std::int64_t>(probes_safe));
-  j.set("probes_with_unique_leader",
-        static_cast<std::int64_t>(probes_with_unique_leader));
-  j.set("events", static_cast<std::int64_t>(events));
-  j.set("agents_corrupted", static_cast<std::int64_t>(agents_corrupted));
-  j.set("agents_joined", static_cast<std::int64_t>(agents_joined));
-  j.set("agents_left", static_cast<std::int64_t>(agents_left));
-  j.set("agents_drained", static_cast<std::int64_t>(agents_drained));
+  for (const auto& [key, field] : kReportCounters) {
+    j.set(key, static_cast<std::int64_t>(this->*field));
+  }
   j.set("interactions", static_cast<std::int64_t>(interactions));
   j.set("final_population", static_cast<std::int64_t>(final_population));
   j.set("registry_fingerprint", obs::hex_u64(registry_fingerprint));
@@ -200,6 +214,38 @@ util::Json FaultReport::to_json() const {
 
 // --- FaultCursor codec ----------------------------------------------------
 
+namespace {
+
+util::Json u64_array(const std::vector<std::uint64_t>& values) {
+  auto arr = util::Json::array();
+  for (const std::uint64_t v : values) arr.push(static_cast<std::int64_t>(v));
+  return arr;
+}
+
+bool read_u64_field(const util::Json& j, const char* key,
+                    std::uint64_t* out) {
+  const util::Json* v = j.find(key);
+  if (!v) return false;
+  const auto u = v->as_u64();
+  if (!u) return false;
+  *out = *u;
+  return true;
+}
+
+bool read_u64_array(const util::Json& j, const char* key,
+                    std::vector<std::uint64_t>* out) {
+  const util::Json* arr = j.find(key);
+  if (!arr || !arr->is_array()) return false;
+  for (std::size_t i = 0; i < arr->size(); ++i) {
+    const auto v = arr->at(i)->as_u64();
+    if (!v) return false;
+    out->push_back(*v);
+  }
+  return true;
+}
+
+}  // namespace
+
 util::Json fault_cursor_to_json(const FaultCursor& cur) {
   auto j = util::Json::object();
   j.set("t", static_cast<std::int64_t>(cur.t));
@@ -212,54 +258,22 @@ util::Json fault_cursor_to_json(const FaultCursor& cur) {
   auto next = util::Json::array();
   for (const std::uint64_t nx : cur.next) next.push(obs::hex_u64(nx));
   j.set("next", std::move(next));
-  auto battery = util::Json::array();
-  for (const std::uint64_t c : cur.battery) {
-    battery.push(static_cast<std::int64_t>(c));
-  }
-  j.set("battery", std::move(battery));
+  j.set("battery", u64_array(cur.battery));
   auto r = util::Json::object();
-  r.set("probes", static_cast<std::int64_t>(cur.report.probes));
-  r.set("probes_safe", static_cast<std::int64_t>(cur.report.probes_safe));
-  r.set("probes_with_unique_leader",
-        static_cast<std::int64_t>(cur.report.probes_with_unique_leader));
-  r.set("events", static_cast<std::int64_t>(cur.report.events));
-  r.set("agents_corrupted",
-        static_cast<std::int64_t>(cur.report.agents_corrupted));
-  r.set("agents_joined", static_cast<std::int64_t>(cur.report.agents_joined));
-  r.set("agents_left", static_cast<std::int64_t>(cur.report.agents_left));
-  r.set("agents_drained",
-        static_cast<std::int64_t>(cur.report.agents_drained));
-  auto recovery = util::Json::array();
-  for (const std::uint64_t rt : cur.report.recovery_times) {
-    recovery.push(static_cast<std::int64_t>(rt));
+  for (const auto& [key, field] : kReportCounters) {
+    r.set(key, static_cast<std::int64_t>(cur.report.*field));
   }
-  r.set("recovery_times", std::move(recovery));
+  r.set("recovery_times", u64_array(cur.report.recovery_times));
   j.set("report", std::move(r));
   return j;
 }
 
-namespace {
-
-bool read_u64_field(const util::Json& j, const char* key,
-                    std::uint64_t* out) {
-  const util::Json* v = j.find(key);
-  if (!v) return false;
-  const auto u = v->as_u64();
-  if (!u) return false;
-  *out = *u;
-  return true;
-}
-
-}  // namespace
-
 std::optional<FaultCursor> fault_cursor_from_json(const util::Json& j) {
   if (!j.is_object()) return std::nullopt;
   FaultCursor cur;
-  if (!read_u64_field(j, "t", &cur.t)) return std::nullopt;
-  if (!read_u64_field(j, "last_checkpoint", &cur.last_checkpoint)) {
-    return std::nullopt;
-  }
-  if (!read_u64_field(j, "cycle_start", &cur.cycle_start)) {
+  if (!read_u64_field(j, "t", &cur.t) ||
+      !read_u64_field(j, "last_checkpoint", &cur.last_checkpoint) ||
+      !read_u64_field(j, "cycle_start", &cur.cycle_start)) {
     return std::nullopt;
   }
   const util::Json* in_cycle = j.find("in_cycle");
@@ -281,40 +295,60 @@ std::optional<FaultCursor> fault_cursor_from_json(const util::Json& j) {
     if (!v) return std::nullopt;
     cur.next.push_back(*v);
   }
-
-  const util::Json* battery = j.find("battery");
-  if (!battery || !battery->is_array()) return std::nullopt;
-  for (std::size_t i = 0; i < battery->size(); ++i) {
-    const auto v = battery->at(i)->as_u64();
-    if (!v) return std::nullopt;
-    cur.battery.push_back(*v);
-  }
+  if (!read_u64_array(j, "battery", &cur.battery)) return std::nullopt;
 
   const util::Json* r = j.find("report");
   if (!r || !r->is_object()) return std::nullopt;
-  if (!read_u64_field(*r, "probes", &cur.report.probes) ||
-      !read_u64_field(*r, "probes_safe", &cur.report.probes_safe) ||
-      !read_u64_field(*r, "probes_with_unique_leader",
-                      &cur.report.probes_with_unique_leader) ||
-      !read_u64_field(*r, "events", &cur.report.events) ||
-      !read_u64_field(*r, "agents_corrupted",
-                      &cur.report.agents_corrupted) ||
-      !read_u64_field(*r, "agents_joined", &cur.report.agents_joined) ||
-      !read_u64_field(*r, "agents_left", &cur.report.agents_left) ||
-      !read_u64_field(*r, "agents_drained", &cur.report.agents_drained)) {
-    return std::nullopt;
+  for (const auto& [key, field] : kReportCounters) {
+    if (!read_u64_field(*r, key, &(cur.report.*field))) return std::nullopt;
   }
-  const util::Json* recovery = r->find("recovery_times");
-  if (!recovery || !recovery->is_array()) return std::nullopt;
-  for (std::size_t i = 0; i < recovery->size(); ++i) {
-    const auto v = recovery->at(i)->as_u64();
-    if (!v) return std::nullopt;
-    cur.report.recovery_times.push_back(*v);
+  if (!read_u64_array(*r, "recovery_times", &cur.report.recovery_times)) {
+    return std::nullopt;
   }
   return cur;
 }
 
+const char* fault_cursor_violation(const FaultCursor& cur, bool battery_ok) {
+  for (const std::uint64_t nx : cur.next) {
+    if (nx <= cur.t) return "next";
+  }
+  if (cur.cycle_start > cur.t) return "cycle_start";
+  if (cur.last_checkpoint > cur.t) return "last_checkpoint";
+  return battery_ok ? nullptr : "battery";
+}
+
 // --- the ElectLeader_r entry ----------------------------------------------
+
+namespace {
+
+std::uint64_t leaders(const std::vector<core::Agent>& config) {
+  return core::leader_count(config);
+}
+
+std::uint64_t leaders(const pp::CountsConfiguration<core::ElectLeader>& c) {
+  return c.count_if(core::ElectLeader::is_leader);
+}
+
+/// The ElectLeader_r model over either engine's view of the population.
+template <typename View>
+FaultModel<core::ElectLeader, View> elect_leader_model(
+    const core::Params& params, const core::ElectLeader& protocol) {
+  FaultModel<core::ElectLeader, View> model;
+  model.corrupt_state = [&params](util::Rng& rng) {
+    return core::random_agent(params, rng);
+  };
+  model.join_state = [&protocol] { return protocol.initial_state(0); };
+  model.safe = [&params](const View& v) {
+    return core::is_safe_configuration(params, v);
+  };
+  model.unique_leader = [](const View& v) { return leaders(v) == 1; };
+  model.encode = core::snapshot_write_agent;
+  model.decode = core::snapshot_read_agent;
+  model.label = "elect_leader";
+  return model;
+}
+
+}  // namespace
 
 FaultReport run_fault_plan(Engine engine, const core::Params& params,
                            const FaultPlan& plan, std::uint64_t seed,
@@ -326,47 +360,19 @@ FaultReport run_fault_plan(Engine engine, const core::Params& params,
                  "blocks; routing --engine=leaping to the batched counts "
                  "engine\n");
   }
-
   if (engine == Engine::kNaive) {
-    NaiveFaultModel<core::ElectLeader> model;
-    model.corrupt_state = [&params](util::Rng& rng) {
-      return core::random_agent(params, rng);
-    };
-    model.join_state = [&protocol] { return protocol.initial_state(0); };
-    model.safe = [&params](const std::vector<core::Agent>& config) {
-      return core::is_safe_configuration(params, config);
-    };
-    model.unique_leader = [](const std::vector<core::Agent>& config) {
-      return core::leader_count(config) == 1;
-    };
-    return run_fault_plan_naive(protocol, core::make_safe_config(params),
-                                plan, seed, model, opts);
+    return run_fault_plan_naive(
+        protocol, core::make_safe_config(params), plan, seed,
+        elect_leader_model<std::vector<core::Agent>>(params, protocol), opts);
   }
-
-  FaultModel<core::ElectLeader> model;
-  model.corrupt_state = [&params](util::Rng& rng) {
-    return core::random_agent(params, rng);
-  };
-  model.join_state = [&protocol] { return protocol.initial_state(0); };
-  model.safe =
-      [&params](const pp::CountsConfiguration<core::ElectLeader>& c) {
-        return core::is_safe_configuration(params, c);
-      };
-  model.unique_leader =
-      [](const pp::CountsConfiguration<core::ElectLeader>& c) {
-        return c.count_if(core::ElectLeader::is_leader) == 1;
-      };
-  model.encode = [](const core::Agent& a) {
-    return core::snapshot_write_agent(a);
-  };
-  model.decode = [](const std::string& text) {
-    return core::snapshot_read_agent(text);
-  };
-  model.label = "elect_leader";
-  pp::CountsConfiguration<core::ElectLeader> counts(
-      core::make_safe_config(params));
-  return run_fault_plan_counts(protocol, std::move(counts), plan, seed,
-                               model, opts);
+  return run_fault_plan_counts(
+      protocol,
+      pp::CountsConfiguration<core::ElectLeader>(
+          core::make_safe_config(params)),
+      plan, seed,
+      elect_leader_model<pp::CountsConfiguration<core::ElectLeader>>(
+          params, protocol),
+      opts);
 }
 
 }  // namespace ssle::analysis

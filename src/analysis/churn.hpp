@@ -6,15 +6,13 @@
 // FaultPlan is the engine-generic schedule language.  A plan is a list of
 // FaultRules (action × timing × burst size) plus an optional
 // battery-dropout model, validated hard (exit 2 naming the offending field)
-// and runnable on
-//   - the batched counts engine (run_fault_plan_counts): faults are
-//     O(log q) registry edits (pp::CountsConfiguration::insert_agent /
-//     remove_agent) between blocks, so a churn soak runs at n = 10^5–10^6;
-//     counts-native probes; crash-safe checkpoints (obs/checkpoint.hpp)
-//     with the full fault cursor on board;
-//   - the naive agent-array engine (run_fault_plan_naive): an independent
-//     twin over std::vector<State>, the reference law that pins the counts
-//     runner at tiny n (TV-distance tests).
+// and run by one loop (detail::run_fault_loop, with crash-safe checkpoints
+// via obs/checkpoint.hpp) over either engine:
+//   - batched counts (run_fault_plan_counts): faults are O(log q) registry
+//     edits between blocks, so a churn soak runs at n = 10^5–10^6;
+//   - the naive agent array (run_fault_plan_naive): swap-remove / append.
+// The two draw victims and drain batteries differently, so tiny-n TV tests
+// pin each law against the other.
 //
 // Timing kinds:
 //   periodic — fire every `period` interactions;
@@ -25,11 +23,12 @@
 //              has provably recovered (worst-case sustained pressure).
 //
 // Battery model (sensor-network dropout): every agent carries a quantized
-// charge in {0..levels}, held OUTSIDE the protocol state as a histogram —
-// charge is exchangeable across agents, so the histogram is the exact
-// lumping.  Every `decay_every` interactions each charged agent loses one
-// level with probability `decay_prob`; agents reaching 0 drop out of the
-// population.  Joining agents enter fully charged.
+// charge in {0..levels}, held OUTSIDE the protocol state — on the counts
+// engine as a histogram (charge is exchangeable across agents, so the
+// histogram is the exact lumping), on the naive engine per agent.  Every
+// `decay_every` interactions each charged agent loses one level with
+// probability `decay_prob`; agents reaching 0 drop out of the population.
+// Joining agents enter fully charged.
 //
 // Recovery cycles: a cycle opens at the first fault event after a safe
 // probe (or after the start) and closes at the next safe probe; its length
@@ -58,6 +57,8 @@
 #include "obs/journal.hpp"
 #include "pp/batched_simulator.hpp"
 #include "pp/counts.hpp"
+#include "pp/leaping_simulator.hpp"  // sample_binomial
+#include "pp/simulator.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -127,10 +128,11 @@ struct FaultReport {
   std::uint64_t agents_drained = 0;  ///< battery deaths
   std::uint64_t interactions = 0;    ///< where the run stopped
   std::uint64_t final_population = 0;
-  /// Order-sensitive FNV fingerprint of the final canonical registry
-  /// ((state hash, count) in id order) — counts runner only.  Two runs of
-  /// the SAME binary that followed the same trajectory match; it is not a
-  /// portable digest.  The CI kill−9/resume smoke compares it.
+  /// Order-sensitive FNV fingerprint of the final population: the
+  /// canonical registry ((state hash, count) in id order) on the counts
+  /// engine, the agent array (state hash in index order) on naive.  Two
+  /// runs of the SAME binary that followed the same trajectory match; it
+  /// is not a portable digest.  The CI kill−9/resume smokes compare it.
   std::uint64_t registry_fingerprint = 0;
   bool completed = false;  ///< horizon reached (false: wall-clock stop)
   bool resumed = false;    ///< this run restored a checkpoint
@@ -157,8 +159,7 @@ struct FaultReport {
   util::Json to_json() const;
 };
 
-/// Knobs shared by the fault runners.  Checkpointing is counts-native: the
-/// naive runner rejects a checkpoint request (exit 2).
+/// Knobs shared by the fault runners (both engines).
 struct FaultRunOptions {
   obs::Journal* journal = nullptr;
   /// Crash-safe checkpoint file (empty = no checkpointing).  When set, a
@@ -175,37 +176,32 @@ struct FaultRunOptions {
 };
 
 /// How a fault plan touches a specific protocol: the state drawn into a
-/// corrupted slot, the state of a joining agent, and the probe predicates.
-/// encode/decode are the per-state checkpoint codec (leave empty to run
-/// without checkpoint support); unique_leader may be empty for leaderless
-/// protocols.
-template <pp::Protocol P>
+/// corrupted slot, the state of a joining agent, and the probe predicates
+/// over the engine's view of the population (`View`: the counts registry,
+/// or the agent array on the naive engine).  encode/decode are the
+/// per-state checkpoint codec (leave empty to run without checkpoint
+/// support); unique_leader may be empty for leaderless protocols.
+template <pp::Protocol P, typename View = pp::CountsConfiguration<P>>
 struct FaultModel {
   using State = typename P::State;
   std::function<State(util::Rng&)> corrupt_state;
   std::function<State()> join_state;
-  std::function<bool(const pp::CountsConfiguration<P>&)> safe;
-  std::function<bool(const pp::CountsConfiguration<P>&)> unique_leader;
+  std::function<bool(const View&)> safe;
+  std::function<bool(const View&)> unique_leader;
   std::function<std::string(const State&)> encode;
   std::function<std::optional<State>(const std::string&)> decode;
   std::string label = "protocol";
 };
 
-/// The naive twin's view: identical knobs over the agent array.
+/// The naive engine's model: the same knobs over the agent array.
 template <pp::Protocol P>
-struct NaiveFaultModel {
-  using State = typename P::State;
-  std::function<State(util::Rng&)> corrupt_state;
-  std::function<State()> join_state;
-  std::function<bool(const std::vector<State>&)> safe;
-  std::function<bool(const std::vector<State>&)> unique_leader;
-};
+using NaiveFaultModel = FaultModel<P, std::vector<typename P::State>>;
 
 /// Runs ElectLeader_r from a safe configuration under `plan` on the chosen
-/// engine.  kBatched is the native path (counts edits + counts probes +
-/// checkpoints); kNaive is the reference twin; kLeaping reroutes loudly to
-/// kBatched (fault injection mutates the population between blocks, which
-/// the leap engine's windows do not support).
+/// engine: kBatched (counts edits + counts probes) or kNaive (the agent
+/// array), both with checkpoints; kLeaping reroutes loudly to kBatched
+/// (fault injection mutates the population between blocks, which the leap
+/// engine's windows do not support).
 FaultReport run_fault_plan(Engine engine, const core::Params& params,
                            const FaultPlan& plan, std::uint64_t seed,
                            const FaultRunOptions& opts = {});
@@ -225,12 +221,20 @@ struct FaultCursor {
   std::uint64_t cycle_start = 0;
   std::array<std::uint64_t, 4> fault_rng{};
   std::vector<std::uint64_t> next;     ///< per-rule next fire time
-  std::vector<std::uint64_t> battery;  ///< charge histogram (empty = off)
+  /// Charges (empty = off): a histogram on counts, per agent on naive.
+  std::vector<std::uint64_t> battery;
   FaultReport report;                  ///< counters + recovery samples so far
 };
 
 util::Json fault_cursor_to_json(const FaultCursor& cur);
 std::optional<FaultCursor> fault_cursor_from_json(const util::Json& j);
+
+/// The field of the first invariant `cur` breaks, or nullptr.  Every
+/// cursor a run saves has next[i] > t, cycle_start <= t, last_checkpoint
+/// <= t and a battery matching the population (`battery_ok`, checked by
+/// the engine adapter); a resumed cursor breaking one would run the clock
+/// backwards, wrap a recovery sample or break the battery's bookkeeping.
+const char* fault_cursor_violation(const FaultCursor& cur, bool battery_ok);
 
 [[noreturn]] void fault_plan_die(const std::string& message);
 
@@ -259,89 +263,158 @@ std::uint64_t registry_fingerprint(const pp::CountsConfiguration<P>& cfg) {
   return h;
 }
 
+/// The same fingerprint over an agent array (state hashes in index
+/// order): the naive engine's population.
+template <typename State>
+std::uint64_t registry_fingerprint(const std::vector<State>& agents) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const State& a : agents) {
+    h ^= std::hash<State>{}(a);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 namespace detail {
 
-/// Draws exponential/periodic initial fire times for every rule.
-inline void arm_rules(const FaultPlan& plan, util::Rng& fault_rng,
-                      std::vector<std::uint64_t>* next) {
-  next->assign(plan.rules.size(), kFaultNever);
-  for (std::size_t i = 0; i < plan.rules.size(); ++i) {
-    switch (plan.rules[i].timing) {
-      case FaultTiming::kPeriodic:
-        (*next)[i] = plan.rules[i].period;
-        break;
-      case FaultTiming::kPoisson:
-        (*next)[i] = poisson_gap(fault_rng, plan.rules[i].period);
-        break;
-      case FaultTiming::kOnRecovery:
-        break;  // fires off the probe grid, not the clock
-    }
-  }
-}
+// --- engine adapters --------------------------------------------------------
+// What run_fault_loop needs beyond the engine `sim`: population, probe
+// view, one-agent edits and the battery, all drawing on the fault stream.
 
-/// The earliest scheduled instant strictly after `t`: rule timers plus the
-/// battery decay grid.  kFaultNever when nothing is scheduled.
-inline std::uint64_t next_fault_time(const FaultPlan& plan,
-                                     const std::vector<std::uint64_t>& next,
-                                     std::uint64_t t) {
-  std::uint64_t e = kFaultNever;
-  for (const std::uint64_t nx : next) e = std::min(e, nx);
-  if (plan.battery.levels > 0) {
-    e = std::min(e, (t / plan.battery.decay_every + 1) *
-                        plan.battery.decay_every);
-  }
-  return e;
-}
-
-/// Exact binomial(trials, p) via per-trial Bernoulli draws; p >= 1 is the
-/// deterministic (and draw-free) fast path the default battery uses.
-inline std::uint64_t binomial_draw(util::Rng& rng, std::uint64_t trials,
-                                   double p) {
-  if (p >= 1.0) return trials;
-  std::uint64_t d = 0;
-  for (std::uint64_t k = 0; k < trials; ++k) d += rng.real() < p ? 1 : 0;
-  return d;
-}
-
-/// Removes one uniformly-random charge from the histogram (the battery of
-/// an agent leaving the population; charge is exchangeable across agents).
-inline void battery_remove_random(std::vector<std::uint64_t>* hist,
-                                  util::Rng& rng) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : *hist) total += c;
-  if (total == 0) return;
-  std::uint64_t pos = rng.below(total);
-  for (auto& c : *hist) {
-    if (pos < c) {
-      --c;
-      return;
-    }
-    pos -= c;
-  }
-}
-
-}  // namespace detail
-
-/// The counts-native fault runner: `plan` against a pp::BatchedSimulator
-/// over `start`.  Faults are O(log q) registry edits between blocks; the
-/// engine re-reads the population per block, so n may drift freely (the
-/// block envelope, scheduler weights and metrics all track the live n).
-/// See the file header for cycle semantics and FaultRunOptions for
-/// checkpointing.  `final_out` (optional) receives the final configuration
-/// — the tiny-n TV parity tests compare its law against the naive twin's.
+/// The batched counts engine; the battery is a charge histogram
+/// (battery[l] = agents at level l).
 template <pp::Protocol P>
-FaultReport run_fault_plan_counts(
-    const P& protocol, pp::CountsConfiguration<P> start,
-    const FaultPlan& plan, std::uint64_t seed, const FaultModel<P>& model,
-    const FaultRunOptions& opts = {},
-    pp::CountsConfiguration<P>* final_out = nullptr) {
-  validate_fault_plan(plan, start.population_size());
-  const std::uint64_t n0 = start.population_size();
-  pp::BatchedSimulator<P> sim(protocol, std::move(start), seed);
-  util::Rng fault_rng(util::substream(seed, 3));
+struct CountsAdapter {
+  pp::BatchedSimulator<P> sim;
+  const FaultModel<P>& model;
 
+  const pp::CountsConfiguration<P>& view() const { return sim.config(); }
+  std::uint64_t population() const { return view().population_size(); }
+  void remove_random(util::Rng& rng) {
+    auto& cfg = sim.config();
+    cfg.remove_agent(cfg.sample_class(rng.below(cfg.population_size())));
+  }
+
+  void corrupt_one(util::Rng& rng) {
+    remove_random(rng);
+    sim.config().insert_agent(model.corrupt_state(rng));
+  }
+  void join_one(std::vector<std::uint64_t>& battery, std::uint32_t levels) {
+    sim.config().insert_agent(model.join_state());
+    if (levels > 0) ++battery[levels];
+  }
+  /// The leaver's charge is a uniform one of the n + 1 charges held before
+  /// it left (charge is exchangeable across agents).
+  void leave_one(util::Rng& rng, std::vector<std::uint64_t>& hist) {
+    remove_random(rng);
+    if (hist.empty()) return;
+    std::uint64_t pos = rng.below(population() + 1);
+    std::size_t l = 0;
+    while (pos >= hist[l]) pos -= hist[l++];
+    --hist[l];
+  }
+
+  std::vector<std::uint64_t> full_battery(std::uint32_t levels) const {
+    std::vector<std::uint64_t> hist(levels + 1, 0);
+    hist[levels] = population();
+    return hist;
+  }
+  /// Each level's agents lose a level with probability p, one exact
+  /// binomial per level.  Returns the agents drained to 0.
+  std::uint64_t battery_decay(std::vector<std::uint64_t>& hist, double p,
+                              util::Rng& rng) {
+    for (std::size_t l = 1; l < hist.size(); ++l) {
+      const std::uint64_t d = pp::sample_binomial(rng, hist[l], p);
+      hist[l] -= d;
+      hist[l - 1] += d;
+    }
+    return hist[0];
+  }
+  void battery_drain(std::vector<std::uint64_t>& hist, util::Rng& rng) {
+    for (; hist[0] > 0; --hist[0]) remove_random(rng);
+  }
+  /// A saved histogram has levels + 1 bins, none at 0, totalling n.
+  bool battery_consistent(const std::vector<std::uint64_t>& hist,
+                          std::uint32_t levels) const {
+    if (levels == 0) return hist.empty();
+    if (hist.size() != levels + 1u || hist[0] != 0) return false;
+    std::uint64_t left = population();
+    for (const std::uint64_t c : hist) {
+      if (c > left) return false;
+      left -= c;
+    }
+    return left == 0;
+  }
+};
+
+/// The naive agent-array engine; the battery holds one level per agent in
+/// index order, swap-removed together with the agents.
+template <pp::Protocol P>
+struct NaiveAdapter {
+  pp::Simulator<P> sim;
+  const NaiveFaultModel<P>& model;
+
+  const std::vector<typename P::State>& view() const {
+    return sim.population().states();
+  }
+  std::uint64_t population() const { return view().size(); }
+  void remove_at(std::uint64_t i, std::vector<std::uint64_t>& battery) {
+    sim.remove_agent(static_cast<std::uint32_t>(i));
+    if (!battery.empty()) {
+      battery[i] = battery.back();  // trivial type: self-assign is fine
+      battery.pop_back();
+    }
+  }
+
+  void corrupt_one(util::Rng& rng) {
+    const auto victim = static_cast<std::uint32_t>(rng.below(population()));
+    sim.population()[victim] = model.corrupt_state(rng);
+  }
+  void join_one(std::vector<std::uint64_t>& battery, std::uint32_t levels) {
+    sim.add_agent(model.join_state());
+    if (levels > 0) battery.push_back(levels);
+  }
+  void leave_one(util::Rng& rng, std::vector<std::uint64_t>& battery) {
+    remove_at(rng.below(population()), battery);
+  }
+
+  std::vector<std::uint64_t> full_battery(std::uint32_t levels) const {
+    return std::vector<std::uint64_t>(population(), levels);
+  }
+  /// Each agent loses a level with probability p (no draw when p = 1).
+  /// Returns the agents drained to 0.
+  std::uint64_t battery_decay(std::vector<std::uint64_t>& battery, double p,
+                              util::Rng& rng) {
+    std::uint64_t deaths = 0;
+    for (std::uint64_t& b : battery) {
+      if (p >= 1.0 || rng.real() < p) deaths += --b == 0 ? 1 : 0;
+    }
+    return deaths;
+  }
+  void battery_drain(std::vector<std::uint64_t>& battery, util::Rng&) {
+    for (std::size_t i = battery.size(); i-- > 0;) {
+      if (battery[i] == 0) remove_at(i, battery);
+    }
+  }
+  /// A saved battery holds one level in [1, levels] per agent.
+  bool battery_consistent(const std::vector<std::uint64_t>& battery,
+                          std::uint32_t levels) const {
+    return battery.size() == (levels == 0 ? 0 : population()) &&
+           std::all_of(battery.begin(), battery.end(), [&](std::uint64_t b) {
+             return b >= 1 && b <= levels;
+           });
+  }
+};
+
+/// The fault-plan loop over one engine adapter (see the file header for
+/// cycle semantics and FaultRunOptions for checkpointing).
+template <typename Adapter>
+FaultReport run_fault_loop(Adapter& eng, const FaultPlan& plan,
+                           std::uint64_t seed, const FaultRunOptions& opts) {
+  util::Rng fault_rng(util::substream(seed, 3));
   const bool want_ckpt = !opts.checkpoint_path.empty();
-  if (want_ckpt && !(model.encode && model.decode)) {
+  const std::string& path = opts.checkpoint_path;
+  if (want_ckpt && !(eng.model.encode && eng.model.decode)) {
     fault_plan_die("checkpointing requested but the protocol model has no "
                    "state codec (field: checkpoint_path)");
   }
@@ -352,36 +425,49 @@ FaultReport run_fault_plan_counts(
 
   FaultCursor cur;
   if (plan.battery.levels > 0) {
-    cur.battery.assign(plan.battery.levels + 1, 0);
-    cur.battery[plan.battery.levels] = n0;
+    cur.battery = eng.full_battery(plan.battery.levels);
   }
 
   bool resumed = false;
   if (want_ckpt && opts.resume) {
-    if (auto doc = obs::checkpoint_load(opts.checkpoint_path)) {
-      if (!doc->cursor) {
-        fault_plan_die("checkpoint at " + opts.checkpoint_path +
-                       " carries no fault cursor (not a fault-plan "
-                       "checkpoint)");
-      }
-      auto restored = fault_cursor_from_json(*doc->cursor);
+    if (auto doc = obs::checkpoint_load(path)) {
+      auto restored = doc->cursor ? fault_cursor_from_json(*doc->cursor)
+                                  : std::nullopt;
       if (!restored || restored->next.size() != plan.rules.size() ||
-          restored->t != doc->interactions ||
-          (plan.battery.levels > 0) !=
-              (restored->battery.size() == plan.battery.levels + 1u)) {
-        fault_plan_die("checkpoint at " + opts.checkpoint_path +
+          restored->t != doc->interactions) {
+        fault_plan_die("checkpoint at " + path +
                        " has a fault cursor inconsistent with this plan");
       }
-      if (!obs::restore_checkpoint(sim, *doc, model.label, model.decode)) {
-        fault_plan_die("checkpoint at " + opts.checkpoint_path +
+      if (!obs::restore_checkpoint(eng.sim, *doc, eng.model.label,
+                                   eng.model.decode)) {
+        fault_plan_die("checkpoint at " + path +
                        " does not restore into this engine/protocol");
+      }
+      if (const char* field = fault_cursor_violation(
+              *restored, eng.battery_consistent(restored->battery,
+                                                plan.battery.levels))) {
+        fault_plan_die("checkpoint at " + path +
+                       " has a fault cursor no run can reach (field: " +
+                       field + ")");
       }
       cur = std::move(*restored);
       fault_rng.set_state(cur.fault_rng);
       resumed = true;
     }
   }
-  if (!resumed) detail::arm_rules(plan, fault_rng, &cur.next);
+  // Rule i's next fire time after `t`; recovery rules fire off the probe
+  // grid, not the clock.
+  const auto schedule = [&](std::size_t i, std::uint64_t t) {
+    const FaultRule& rule = plan.rules[i];
+    cur.next[i] = rule.timing == FaultTiming::kPeriodic ? t + rule.period
+                  : rule.timing == FaultTiming::kPoisson
+                      ? t + poisson_gap(fault_rng, rule.period)
+                      : kFaultNever;
+  };
+  if (!resumed) {
+    cur.next.resize(plan.rules.size());
+    for (std::size_t i = 0; i < plan.rules.size(); ++i) schedule(i, 0);
+  }
   FaultReport& report = cur.report;
   report.resumed = resumed;
 
@@ -395,63 +481,39 @@ FaultReport run_fault_plan_counts(
   };
 
   const auto apply_rule = [&](const FaultRule& rule, std::uint64_t t) {
-    auto& cfg = sim.config();
     ++report.events;
-    switch (rule.action) {
-      case FaultAction::kCorrupt:
-        for (std::uint64_t k = 0; k < rule.count; ++k) {
-          const std::uint64_t live = cfg.population_size();
-          const std::uint32_t idx = cfg.sample_class(fault_rng.below(live));
-          cfg.remove_agent(idx);
-          cfg.insert_agent(model.corrupt_state(fault_rng));
+    for (std::uint64_t k = 0; k < rule.count; ++k) {
+      switch (rule.action) {
+        case FaultAction::kCorrupt:
+          eng.corrupt_one(fault_rng);
           ++report.agents_corrupted;
-        }
-        break;
-      case FaultAction::kJoin:
-        for (std::uint64_t k = 0; k < rule.count; ++k) {
-          cfg.insert_agent(model.join_state());
-          if (!cur.battery.empty()) ++cur.battery[plan.battery.levels];
+          break;
+        case FaultAction::kJoin:
+          eng.join_one(cur.battery, plan.battery.levels);
           ++report.agents_joined;
-        }
-        break;
-      case FaultAction::kLeave:
-        for (std::uint64_t k = 0; k < rule.count; ++k) {
-          const std::uint64_t live = cfg.population_size();
-          if (live <= 2) {
+          break;
+        case FaultAction::kLeave:
+          if (eng.population() <= 2) {
             fault_plan_die("leave event would reduce the population below 2 "
                            "(field: count)");
           }
-          cfg.remove_agent(cfg.sample_class(fault_rng.below(live)));
-          if (!cur.battery.empty()) {
-            detail::battery_remove_random(&cur.battery, fault_rng);
-          }
+          eng.leave_one(fault_rng, cur.battery);
           ++report.agents_left;
-        }
-        break;
+          break;
+      }
     }
     start_cycle(t);
   };
 
   const auto battery_tick = [&](std::uint64_t t) {
-    auto& hist = cur.battery;
-    for (std::uint32_t l = 1; l <= plan.battery.levels; ++l) {
-      const std::uint64_t d =
-          detail::binomial_draw(fault_rng, hist[l], plan.battery.decay_prob);
-      hist[l] -= d;
-      hist[l - 1] += d;
-    }
-    const std::uint64_t deaths = hist[0];
+    const std::uint64_t deaths =
+        eng.battery_decay(cur.battery, plan.battery.decay_prob, fault_rng);
     if (deaths == 0) return;
-    auto& cfg = sim.config();
-    if (cfg.population_size() < deaths + 2) {
+    if (eng.population() < deaths + 2) {
       fault_plan_die("battery dropout would reduce the population below 2 "
                      "(field: levels)");
     }
-    for (std::uint64_t k = 0; k < deaths; ++k) {
-      cfg.remove_agent(
-          cfg.sample_class(fault_rng.below(cfg.population_size())));
-    }
-    hist[0] = 0;
+    eng.battery_drain(cur.battery, fault_rng);
     report.agents_drained += deaths;
     ++report.events;
     start_cycle(t);
@@ -459,42 +521,41 @@ FaultReport run_fault_plan_counts(
 
   const auto save_checkpoint = [&] {
     cur.fault_rng = fault_rng.state();
-    auto doc = obs::make_checkpoint(sim, model.label, model.encode);
+    auto doc = obs::make_checkpoint(eng.sim, eng.model.label, eng.model.encode);
     doc.cursor = fault_cursor_to_json(cur);
-    if (!obs::checkpoint_save(opts.checkpoint_path, doc)) {
+    if (!obs::checkpoint_save(path, doc)) {
       std::fprintf(stderr,
                    "error: fault plan: checkpoint write to %s failed\n",
-                   opts.checkpoint_path.c_str());
+                   path.c_str());
       std::exit(1);
     }
     if (opts.journal) {
       auto payload = util::Json::object();
       payload.set("t", static_cast<std::int64_t>(cur.t));
-      payload.set("path", opts.checkpoint_path);
+      payload.set("path", path);
       opts.journal->event("checkpoint", std::move(payload));
     }
   };
 
   bool wall_expired = false;
   while (cur.t < plan.horizon && !wall_expired) {
-    const std::uint64_t next_probe =
-        (cur.t / plan.probe_every + 1) * plan.probe_every;
-    const std::uint64_t next_event =
-        detail::next_fault_time(plan, cur.next, cur.t);
-    const std::uint64_t stop =
-        std::min({plan.horizon, next_probe, next_event});
-    if (stop > cur.t) sim.step(stop - cur.t);
+    // Run to the next probe, rule, battery tick or the horizon.
+    std::uint64_t stop = std::min(
+        plan.horizon, (cur.t / plan.probe_every + 1) * plan.probe_every);
+    for (const std::uint64_t nx : cur.next) stop = std::min(stop, nx);
+    if (plan.battery.levels > 0) {
+      const std::uint64_t every = plan.battery.decay_every;
+      stop = std::min(stop, (cur.t / every + 1) * every);
+    }
+    eng.sim.step(stop - cur.t);
     cur.t = stop;
 
     // Faults due now run BEFORE the probe at the same instant: burst, then
     // probe.
     for (std::size_t i = 0; i < plan.rules.size(); ++i) {
       if (cur.next[i] != cur.t) continue;
-      const FaultRule& rule = plan.rules[i];
-      apply_rule(rule, cur.t);
-      cur.next[i] = rule.timing == FaultTiming::kPeriodic
-                        ? cur.t + rule.period
-                        : cur.t + poisson_gap(fault_rng, rule.period);
+      apply_rule(plan.rules[i], cur.t);
+      schedule(i, cur.t);
     }
     if (plan.battery.levels > 0 &&
         cur.t % plan.battery.decay_every == 0) {
@@ -503,11 +564,11 @@ FaultReport run_fault_plan_counts(
 
     if (cur.t % plan.probe_every == 0) {
       ++report.probes;
-      const auto& cfg = sim.config();
-      const bool safe = model.safe(cfg);
+      const bool safe = eng.model.safe(eng.view());
       report.probes_safe += safe ? 1 : 0;
-      if (model.unique_leader) {
-        report.probes_with_unique_leader += model.unique_leader(cfg) ? 1 : 0;
+      if (eng.model.unique_leader) {
+        report.probes_with_unique_leader +=
+            eng.model.unique_leader(eng.view()) ? 1 : 0;
       }
       if (safe && cur.in_cycle) {
         report.recovery_times.push_back(cur.t - cur.cycle_start);
@@ -520,7 +581,7 @@ FaultReport run_fault_plan_counts(
           }
         }
       }
-      if (opts.journal) opts.journal->tick(cur.t, sim.metrics());
+      if (opts.journal) opts.journal->tick(cur.t, eng.sim.metrics());
       if (opts.max_wall_seconds > 0.0) {
         const double elapsed = std::chrono::duration<double>(
                                    std::chrono::steady_clock::now() -
@@ -537,8 +598,9 @@ FaultReport run_fault_plan_counts(
   }
 
   // Final checkpoint, so a re-invocation of a finished soak resumes to a
-  // no-op instead of rerunning.  (Saving canonicalizes — do it before the
-  // fingerprint so full and resumed runs fingerprint the same layout.)
+  // no-op instead of rerunning.  (Saving canonicalizes the counts engine —
+  // do it before the fingerprint so full and resumed runs fingerprint the
+  // same layout.)
   if (want_ckpt && !wall_expired && cur.t > cur.last_checkpoint) {
     cur.last_checkpoint = cur.t;
     save_checkpoint();
@@ -546,17 +608,33 @@ FaultReport run_fault_plan_counts(
 
   report.completed = cur.t >= plan.horizon;
   report.interactions = cur.t;
-  report.final_population = sim.config().population_size();
-  report.registry_fingerprint = registry_fingerprint(sim.config());
-  report.metrics = sim.metrics();
-  if (final_out) *final_out = sim.config();
+  report.final_population = eng.population();
+  report.registry_fingerprint = registry_fingerprint(eng.view());
+  report.metrics = eng.sim.metrics();
   return report;
 }
 
-/// The naive twin: the same plan semantics over a per-agent array with a
-/// hand-rolled uniform ordered-pair scheduler — written independently of
-/// the counts runner so tiny-n TV tests pin the two laws against each
-/// other.  No checkpoint support (counts-native only; a request exits 2).
+}  // namespace detail
+
+/// The counts fault runner: `plan` against a pp::BatchedSimulator over
+/// `start` (the engine re-reads n per block, so n may drift freely).
+/// `final_out` (optional) receives the final configuration.
+template <pp::Protocol P>
+FaultReport run_fault_plan_counts(
+    const P& protocol, pp::CountsConfiguration<P> start,
+    const FaultPlan& plan, std::uint64_t seed, const FaultModel<P>& model,
+    const FaultRunOptions& opts = {},
+    pp::CountsConfiguration<P>* final_out = nullptr) {
+  validate_fault_plan(plan, start.population_size());
+  detail::CountsAdapter<P> eng{
+      pp::BatchedSimulator<P>(protocol, std::move(start), seed), model};
+  FaultReport report = detail::run_fault_loop(eng, plan, seed, opts);
+  if (final_out) *final_out = eng.sim.config();
+  return report;
+}
+
+/// The naive fault runner: `plan` against a pp::Simulator over the agent
+/// array `config`.  `final_out` (optional) receives the final agents.
 template <pp::Protocol P>
 FaultReport run_fault_plan_naive(
     const P& protocol, std::vector<typename P::State> config,
@@ -564,175 +642,11 @@ FaultReport run_fault_plan_naive(
     const NaiveFaultModel<P>& model, const FaultRunOptions& opts = {},
     std::vector<typename P::State>* final_out = nullptr) {
   validate_fault_plan(plan, config.size());
-  if (!opts.checkpoint_path.empty()) {
-    fault_plan_die("checkpointing is counts-native; run the fault plan on "
-                   "--engine=batched (field: checkpoint_path)");
-  }
-  util::Rng sched_rng(util::substream(seed, 1));
-  util::Rng agent_rng(util::substream(seed, 2));
-  util::Rng fault_rng(util::substream(seed, 3));
-
-  FaultCursor cur;
-  detail::arm_rules(plan, fault_rng, &cur.next);
-  // Per-agent batteries, aligned with `config` (swap-removed together).
-  std::vector<std::uint32_t> battery;
-  if (plan.battery.levels > 0) {
-    battery.assign(config.size(), plan.battery.levels);
-  }
-  FaultReport& report = cur.report;
-
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  const auto start_cycle = [&](std::uint64_t t) {
-    if (!cur.in_cycle) {
-      cur.in_cycle = true;
-      cur.cycle_start = t;
-    }
-  };
-
-  const auto remove_agent_at = [&](std::size_t victim) {
-    if (victim + 1 != config.size()) config[victim] = std::move(config.back());
-    config.pop_back();
-    if (!battery.empty()) {
-      battery[victim] = battery.back();  // trivial type: self-assign is fine
-      battery.pop_back();
-    }
-  };
-
-  const auto apply_rule = [&](const FaultRule& rule, std::uint64_t t) {
-    ++report.events;
-    switch (rule.action) {
-      case FaultAction::kCorrupt:
-        for (std::uint64_t k = 0; k < rule.count; ++k) {
-          const auto victim =
-              static_cast<std::size_t>(fault_rng.below(config.size()));
-          config[victim] = model.corrupt_state(fault_rng);
-          ++report.agents_corrupted;
-        }
-        break;
-      case FaultAction::kJoin:
-        for (std::uint64_t k = 0; k < rule.count; ++k) {
-          config.push_back(model.join_state());
-          if (!battery.empty()) battery.push_back(plan.battery.levels);
-          ++report.agents_joined;
-        }
-        break;
-      case FaultAction::kLeave:
-        for (std::uint64_t k = 0; k < rule.count; ++k) {
-          if (config.size() <= 2) {
-            fault_plan_die("leave event would reduce the population below 2 "
-                           "(field: count)");
-          }
-          remove_agent_at(
-              static_cast<std::size_t>(fault_rng.below(config.size())));
-          ++report.agents_left;
-        }
-        break;
-    }
-    start_cycle(t);
-  };
-
-  const auto battery_tick = [&](std::uint64_t t) {
-    std::uint64_t deaths = 0;
-    for (std::size_t i = 0; i < battery.size(); ++i) {
-      if (battery[i] == 0) continue;  // impossible between ticks; defensive
-      if (plan.battery.decay_prob >= 1.0 ||
-          fault_rng.real() < plan.battery.decay_prob) {
-        if (--battery[i] == 0) ++deaths;
-      }
-    }
-    if (deaths == 0) return;
-    if (config.size() < deaths + 2) {
-      fault_plan_die("battery dropout would reduce the population below 2 "
-                     "(field: levels)");
-    }
-    for (std::size_t i = battery.size(); i-- > 0;) {
-      if (battery[i] == 0) remove_agent_at(i);
-    }
-    report.agents_drained += deaths;
-    ++report.events;
-    start_cycle(t);
-  };
-
-  bool wall_expired = false;
-  while (cur.t < plan.horizon && !wall_expired) {
-    const std::uint64_t next_probe =
-        (cur.t / plan.probe_every + 1) * plan.probe_every;
-    const std::uint64_t next_event =
-        detail::next_fault_time(plan, cur.next, cur.t);
-    const std::uint64_t stop =
-        std::min({plan.horizon, next_probe, next_event});
-    for (std::uint64_t k = cur.t; k < stop; ++k) {
-      const std::uint64_t live = config.size();
-      const std::uint64_t a = sched_rng.below(live);
-      std::uint64_t b = sched_rng.below(live - 1);
-      // Ordered distinct pair, uniform.  Skip a without a jump, as in
-      // pp::UniformScheduler::next: b >= a is a coin flip.
-      b += static_cast<std::uint64_t>(b >= a);
-      protocol.interact(config[a], config[b], agent_rng);
-    }
-    cur.t = stop;
-
-    for (std::size_t i = 0; i < plan.rules.size(); ++i) {
-      if (cur.next[i] != cur.t) continue;
-      const FaultRule& rule = plan.rules[i];
-      apply_rule(rule, cur.t);
-      cur.next[i] = rule.timing == FaultTiming::kPeriodic
-                        ? cur.t + rule.period
-                        : cur.t + poisson_gap(fault_rng, rule.period);
-    }
-    if (plan.battery.levels > 0 &&
-        cur.t % plan.battery.decay_every == 0) {
-      battery_tick(cur.t);
-    }
-
-    if (cur.t % plan.probe_every == 0) {
-      ++report.probes;
-      const bool safe = model.safe(config);
-      report.probes_safe += safe ? 1 : 0;
-      if (model.unique_leader) {
-        report.probes_with_unique_leader +=
-            model.unique_leader(config) ? 1 : 0;
-      }
-      if (safe && cur.in_cycle) {
-        report.recovery_times.push_back(cur.t - cur.cycle_start);
-        cur.in_cycle = false;
-      }
-      if (safe) {
-        for (std::size_t i = 0; i < plan.rules.size(); ++i) {
-          if (plan.rules[i].timing == FaultTiming::kOnRecovery) {
-            apply_rule(plan.rules[i], cur.t);
-          }
-        }
-      }
-      if (opts.journal) {
-        // The naive twin drives agents directly (no Simulator), so it
-        // reports the naive engine's counter shape itself.
-        obs::EngineMetrics m;
-        m.engine = "naive";
-        m.interactions = cur.t;
-        m.interactions_iterated = cur.t;
-        m.population = config.size();
-        opts.journal->tick(cur.t, m);
-      }
-      if (opts.max_wall_seconds > 0.0) {
-        const double elapsed = std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() -
-                                   wall_start)
-                                   .count();
-        wall_expired = elapsed >= opts.max_wall_seconds;
-      }
-    }
-  }
-
-  report.completed = cur.t >= plan.horizon;
-  report.interactions = cur.t;
-  report.final_population = config.size();
-  report.metrics.engine = "naive";
-  report.metrics.interactions = cur.t;
-  report.metrics.interactions_iterated = cur.t;
-  report.metrics.population = config.size();
-  if (final_out) *final_out = std::move(config);
+  detail::NaiveAdapter<P> eng{
+      pp::Simulator<P>(protocol, pp::Population<P>(std::move(config)), seed),
+      model};
+  FaultReport report = detail::run_fault_loop(eng, plan, seed, opts);
+  if (final_out) *final_out = std::move(eng.sim.population().states());
   return report;
 }
 

@@ -27,9 +27,9 @@ std::string snapshot_write(const Params& params,
 std::optional<std::vector<Agent>> snapshot_read(const Params& params,
                                                 const std::string& text);
 
-/// Serializes ONE agent as its snapshot stanza (no header) — the per-class
-/// key codec the counts-native checkpoint (obs/checkpoint.hpp) uses to
-/// store ElectLeader_r registry entries.
+/// Serializes ONE agent as its snapshot stanza (no header) — the per-state
+/// codec checkpoints (obs/checkpoint.hpp) use to store ElectLeader_r
+/// registry entries and naive agents.
 std::string snapshot_write_agent(const Agent& a);
 
 /// Parses exactly one stanza produced by snapshot_write_agent.  Strict:

@@ -1,15 +1,16 @@
-// Crash-safe counts-native checkpoints: kill −9 at any point, resume to a
-// bit-identical trajectory.
+// Crash-safe checkpoints for the batched and naive engines: kill −9 at any
+// point, resume to a bit-identical trajectory.
 //
 // A checkpoint is a versioned util::Json document holding everything the
-// future of a run depends on: the registry multiset (as (encoded-state,
-// count) pairs in canonical id order), every RNG stream's raw 256-bit
-// state, the interaction count, and — for fault-injection runs
-// (analysis/churn.hpp) — the FaultPlan cursor (rule timers, battery
-// histogram, statistics so far), carried opaquely.
+// future of a run depends on: the population (batched: the registry
+// multiset as (encoded-state, count) pairs in canonical id order; naive:
+// the agent array in index order, one (encoded-state, 1) pair per agent),
+// every RNG stream's raw 256-bit state, the interaction count, and — for
+// fault-injection runs (analysis/churn.hpp) — the FaultPlan cursor (rule
+// timers, battery, statistics so far), carried opaquely.
 //
-// Bit-identity rests on one discipline, implemented by the batched engine
-// (pp/batched_simulator.hpp): canonicalize-then-serialize.  Registry id
+// Bit-identity on the batched engine rests on one discipline, implemented
+// by pp/batched_simulator.hpp: canonicalize-then-serialize.  Registry id
 // layout steers the trajectory
 // (uniform draws resolve in registry cumulative order), and a restorer
 // cannot reproduce interner free-list holes left by compact() — so at
@@ -17,6 +18,7 @@
 // form and CONTINUES FROM THAT FORM.  Saver-continuation and restorer then
 // run from literally identical state, which tests/test_checkpoint.cpp pins
 // counter-for-counter and the CI soak smoke proves across a real kill −9.
+// The naive engine needs no such step: its agent array is saved in order.
 //
 // Durability: checkpoint_save writes `path + ".tmp"`, flushes and fsyncs,
 // then renames over `path` — POSIX rename is atomic, so a crash at any
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "pp/batched_simulator.hpp"
+#include "pp/simulator.hpp"
 #include "util/json.hpp"
 
 namespace ssle::obs {
@@ -49,16 +52,18 @@ inline constexpr int kCheckpointVersion = 1;
 
 /// The parsed/serializable checkpoint document.
 struct CheckpointDoc {
-  std::string engine;    ///< "batched" (the only engine restore accepts)
+  std::string engine;    ///< "batched" or "naive"; restore accepts only its own
   std::string protocol;  ///< caller-chosen label, checked on restore
   std::uint64_t n = 0;   ///< population size (consistency-checked)
   std::uint64_t interactions = 0;
   /// Raw RNG states in the producing engine's fixed order (see the
   /// engines' rng_states()).
   std::vector<std::array<std::uint64_t, 4>> rngs;
-  /// The registry as (encoded state, count) pairs in canonical id order.
-  /// The format keeps it as a one-element array of such lists (the "shards"
-  /// key of version 1); restore rejects any other length.
+  /// The population as (encoded state, count) pairs: the batched registry
+  /// in canonical id order, or the naive agent array in index order with
+  /// count 1 each.  The format keeps it as a one-element array of such
+  /// lists (the "shards" key of version 1); restore rejects any other
+  /// length.
   std::vector<std::vector<std::pair<std::string, std::uint64_t>>> shards;
   /// Opaque fault-plan cursor (analysis/churn.hpp); absent for plain runs.
   std::optional<util::Json> cursor;
@@ -124,7 +129,7 @@ CheckpointDoc make_checkpoint(pp::BatchedSimulator<P>& sim,
 /// canonical dense ids — then installs RNG states and the
 /// interaction count.  Returns false, leaving the engine unusable, on any
 /// mismatch: engine kind, protocol label, undecodable state, population
-/// total, RNG arity.
+/// total, a population below 2 (no engine runs one), RNG arity.
 template <pp::Protocol P, typename Dec>
 bool restore_checkpoint(pp::BatchedSimulator<P>& sim,
                         const CheckpointDoc& doc,
@@ -138,10 +143,50 @@ bool restore_checkpoint(pp::BatchedSimulator<P>& sim,
     if (!s || c == 0) return false;
     cfg.add(*s, c);
   }
-  if (cfg.population_size() != doc.n) return false;
+  if (cfg.population_size() != doc.n || doc.n < 2) return false;
   sim.config() = std::move(cfg);
   sim.canonicalize();  // idempotent here; sizes block scratch to the registry
   if (!sim.set_rng_states(doc.rngs)) return false;
+  sim.set_interactions(doc.interactions);
+  return true;
+}
+
+/// Captures a naive engine: the agent array in index order, its two RNG
+/// streams and the interaction count.
+template <pp::Protocol P, typename Enc>
+CheckpointDoc make_checkpoint(const pp::Simulator<P>& sim,
+                              const std::string& protocol_label,
+                              Enc&& encode) {
+  CheckpointDoc doc{.engine = "naive",
+                    .protocol = protocol_label,
+                    .n = sim.population().size(),
+                    .interactions = sim.interactions(),
+                    .rngs = sim.rng_states(),
+                    .shards = {{}},
+                    .cursor = std::nullopt};
+  for (const auto& s : sim.population().states()) {
+    doc.shards[0].emplace_back(encode(s), 1);
+  }
+  return doc;
+}
+
+/// Restores `doc` into a naive engine, replacing its agent array.  Returns
+/// false on the same mismatches as the batched restore, and on an entry
+/// whose count is not 1.
+template <pp::Protocol P, typename Dec>
+bool restore_checkpoint(pp::Simulator<P>& sim, const CheckpointDoc& doc,
+                        const std::string& protocol_label, Dec&& decode) {
+  if (doc.engine != "naive" || doc.protocol != protocol_label) return false;
+  if (doc.shards.size() != 1 || doc.shards[0].size() != doc.n) return false;
+  if (doc.n < 2) return false;
+  std::vector<typename P::State> agents;
+  for (const auto& [enc, c] : doc.shards[0]) {
+    auto s = decode(enc);
+    if (!s || c != 1) return false;
+    agents.push_back(std::move(*s));
+  }
+  if (!sim.set_rng_states(doc.rngs)) return false;
+  sim.set_agents(std::move(agents));
   sim.set_interactions(doc.interactions);
   return true;
 }

@@ -33,7 +33,9 @@ class UniformScheduler {
   }
 
   std::uint32_t population_size() const { return n_; }
+  void set_population_size(std::uint32_t n) { n_ = n; }
   util::Rng& rng() { return rng_; }
+  const util::Rng& rng() const { return rng_; }
 
  private:
   std::uint32_t n_;

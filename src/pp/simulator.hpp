@@ -9,10 +9,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "pp/population.hpp"
@@ -127,7 +129,42 @@ class Simulator {
   const Population<P>& population() const { return population_; }
   const P& protocol() const { return protocol_; }
 
+  // Population edits (fault plans) and checkpoint state, uniform scheduler
+  // only: edits keep its cached n in step, and a population leaving
+  // [2, kMaxAgents] exits 2 (field: n), as the constructor does.
+  void add_agent(typename P::State s) {
+    population_.states().push_back(std::move(s));
+    resize_scheduler();
+  }
+  /// Swap-remove: the last agent takes index i.
+  void remove_agent(std::uint32_t i) {
+    auto& agents = population_.states();
+    if (i + 1 != agents.size()) agents[i] = std::move(agents.back());
+    agents.pop_back();
+    resize_scheduler();
+  }
+  void set_agents(std::vector<typename P::State> agents) {
+    population_.states() = std::move(agents);
+    resize_scheduler();
+  }
+  /// [scheduler, transition agent_rng_], the order set_rng_states takes.
+  std::vector<std::array<std::uint64_t, 4>> rng_states() const {
+    return {scheduler_.rng().state(), agent_rng_.state()};
+  }
+  bool set_rng_states(const std::vector<std::array<std::uint64_t, 4>>& s) {
+    if (s.size() != 2) return false;
+    scheduler_.rng().set_state(s[0]);
+    agent_rng_.set_state(s[1]);
+    return true;
+  }
+  void set_interactions(std::uint64_t t) { interactions_ = t; }
+
  private:
+  void resize_scheduler() {
+    require_population("naive", population_.states().size(), kMaxAgents);
+    scheduler_.set_population_size(population_.size());
+  }
+
   P protocol_;
   Population<P> population_;
   Sched scheduler_;

@@ -5,7 +5,9 @@
 // saver's own continuation — registries counter-for-counter, RNG states
 // word-for-word.  The document tests pin the strict parser (versioning,
 // hex words, truncation) and the restore guards (engine/protocol/population
-// mismatches, including checkpoints of engines that no longer exist).
+// mismatches, including checkpoints of engines that no longer exist).  The
+// naive engine's agent-array checkpoint is held to the same continuation
+// test.
 #include "obs/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -145,6 +147,14 @@ TEST(CheckpointRestore, GuardsRejectMismatchedDocuments) {
     EXPECT_FALSE(
         restore_checkpoint(r, bad, "elect_leader", core::snapshot_read_agent));
   }
+  {  // a one-agent population, which no engine can step
+    CheckpointDoc bad = doc;
+    bad.shards[0] = {{bad.shards[0][0].first, 1}};
+    bad.n = 1;
+    Batched r = fresh();
+    EXPECT_FALSE(
+        restore_checkpoint(r, bad, "elect_leader", core::snapshot_read_agent));
+  }
   {  // zero-count registry entry
     CheckpointDoc bad = doc;
     bad.shards[0][0].second = 0;
@@ -190,6 +200,54 @@ TEST(CheckpointRestore, BatchedContinuationIsBitIdentical) {
   // Saver (continuing past its own checkpoint) and resumer must now follow
   // literally the same trajectory: compare full re-serializations — the
   // registry counter-for-counter, every RNG word, the interaction count.
+  for (int leg = 0; leg < 4; ++leg) {
+    saver.step(1000);
+    resumer.step(1000);
+    EXPECT_EQ(
+        checkpoint_dump(make_checkpoint(saver, "elect_leader",
+                                        core::snapshot_write_agent)),
+        checkpoint_dump(make_checkpoint(resumer, "elect_leader",
+                                        core::snapshot_write_agent)))
+        << "diverged on leg " << leg;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointRestore, NaiveContinuationIsBitIdentical) {
+  // The naive engine's state is its agent array in index order; a resumer
+  // built from a different population and seed must continue exactly as
+  // the saver does, through population edits too.
+  using Naive = pp::Simulator<core::ElectLeader>;
+  const Params p = Params::make(64, 8);
+  const core::ElectLeader protocol(p);
+  const auto agents = core::make_safe_config(p);
+  Naive saver(protocol, pp::Population<core::ElectLeader>(agents), 7);
+  saver.step(2500);
+  saver.remove_agent(3);
+  saver.add_agent(protocol.initial_state(0));
+
+  const std::string path = tmp_path("naive");
+  const CheckpointDoc saved =
+      make_checkpoint(saver, "elect_leader", core::snapshot_write_agent);
+  ASSERT_TRUE(checkpoint_save(path, saved));
+  const auto loaded = checkpoint_load(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->engine, "naive");
+
+  Naive resumer(protocol, pp::Population<core::ElectLeader>(agents), 999);
+  resumer.remove_agent(0);
+  ASSERT_TRUE(restore_checkpoint(resumer, *loaded, "elect_leader",
+                                 core::snapshot_read_agent));
+  EXPECT_EQ(resumer.interactions(), saver.interactions());
+  Batched batched(protocol, safe_config(p), 1);
+  EXPECT_FALSE(restore_checkpoint(batched, *loaded, "elect_leader",
+                                  core::snapshot_read_agent));
+  CheckpointDoc one_agent = *loaded;
+  one_agent.shards[0].resize(1);
+  one_agent.n = 1;
+  EXPECT_FALSE(restore_checkpoint(resumer, one_agent, "elect_leader",
+                                  core::snapshot_read_agent));
+
   for (int leg = 0; leg < 4; ++leg) {
     saver.step(1000);
     resumer.step(1000);

@@ -1,16 +1,23 @@
 // FaultPlan subsystem tests: schedule grammar + hard validation (S1),
 // runner accounting and recovery-cycle semantics, tiny-n TV law parity
-// between the counts-native runner and the independently-written naive
-// twin (Epidemic and LooseLeaderElection), and checkpoint/resume
-// determinism of full ElectLeader_r fault runs.
+// between the counts adapter and the naive adapter (Epidemic and
+// LooseLeaderElection, and the two battery models), and checkpoint/resume
+// determinism of full ElectLeader_r fault runs on both engines, including
+// the resume-time checks on the fault cursor.
 #include "analysis/churn.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/measure.hpp"
@@ -125,16 +132,6 @@ TEST(FaultPlanDeath, BatteryWithoutDecayIntervalExits) {
               "field: decay_every");
 }
 
-TEST(FaultPlanDeath, NaiveEngineRejectsCheckpointRequest) {
-  const Params p = Params::make(16, 8);
-  FaultRunOptions opts;
-  opts.checkpoint_path = "/tmp/fault_plan_naive.ckpt";
-  opts.checkpoint_every = 100;
-  EXPECT_EXIT(run_fault_plan(Engine::kNaive, p, corrupt_plan(100, 1, 1000, 10),
-                             1, opts),
-              ::testing::ExitedWithCode(2), "counts-native");
-}
-
 // --- runner accounting ----------------------------------------------------
 
 TEST(FaultPlanRun, PeriodicCorruptionAccounting) {
@@ -246,10 +243,10 @@ TEST(FaultPlanRun, WallClockStopReportsIncomplete) {
   EXPECT_LT(report.interactions, plan.horizon);
 }
 
-// --- the naive twin on ElectLeader_r --------------------------------------
-// run_fault_plan(kNaive, …) is the independent reference law: the agent
-// array with its own uniform pair scheduler.  These pin its availability
-// and accounting on the paper's protocol.
+// --- the naive engine on ElectLeader_r ------------------------------------
+// run_fault_plan(kNaive, …) runs the plan over the agent array with the
+// uniform pair scheduler.  These pin its availability and accounting on
+// the paper's protocol.
 
 TEST(FaultPlanRun, NaiveNoFaultsIsFullyAvailable) {
   const Params p = Params::make(16, 8);
@@ -302,7 +299,7 @@ TEST(FaultPlanRun, NaiveDeterministicPerSeed) {
 }
 
 TEST(FaultPlanRun, NaiveGolden) {
-  // Pins the naive twin's trajectory (its hand-rolled pair draw, the agent
+  // Pins the naive runner's trajectory (the pair draw, the agent
   // stream and the fault stream) to values recorded from the branchy
   // skip-self draw.  Leaves and joins move the live population, so the
   // draw runs over several sizes.  The final configuration comes from
@@ -343,6 +340,17 @@ TEST(FaultPlanRun, NaiveGolden) {
   EXPECT_EQ(h, 0x1fe48b78e0718bd5ull);
 }
 
+TEST(FaultPlanRun, NaiveFingerprintHashesTheFinalAgentArray) {
+  // NaiveGolden's plan and seed: the report carries the same FNV-1a over
+  // the final agent array that NaiveGolden recomputes by hand.
+  const Params p = Params::make(16, 8);
+  const FaultPlan plan = parse_fault_plan(
+      "corrupt:periodic:5000:2,leave:periodic:20000:2,join:periodic:30000:2",
+      /*horizon=*/100000, /*probe_every=*/16);
+  EXPECT_EQ(run_fault_plan(Engine::kNaive, p, plan, 9).registry_fingerprint,
+            0x1fe48b78e0718bd5ull);
+}
+
 // --- quantiles ------------------------------------------------------------
 
 TEST(FaultReportQuantiles, NearestRank) {
@@ -356,7 +364,7 @@ TEST(FaultReportQuantiles, NearestRank) {
   EXPECT_EQ(empty.recovery_quantile(0.5), 0u);
 }
 
-// --- tiny-n TV parity: counts runner vs the naive twin --------------------
+// --- tiny-n TV parity: counts adapter vs naive adapter --------------------
 
 double tv_distance(const std::map<std::uint64_t, int>& a,
                    const std::map<std::uint64_t, int>& b, int trials) {
@@ -482,6 +490,49 @@ TEST(FaultPlanParity, LooseLeaderUnderChurnMatchesNaiveLaw) {
   EXPECT_LT(tv, 0.1) << "total variation distance " << tv;
 }
 
+TEST(FaultPlanParity, BatteryDropoutMatchesNaiveLaw) {
+  // The counts adapter lumps charges into a histogram and decays each
+  // level by one binomial draw; the naive adapter decays every agent's
+  // own charge.  Compare the law of the final population.  One joiner per
+  // decay tick (joins run first) keeps every tick's deaths at least 2
+  // below the population, so the dropout guard never fires.
+  const std::uint32_t n = 6;
+  const int trials = 2500;
+  const pp::Epidemic protocol{n};
+  const FaultPlan plan =
+      parse_fault_plan("join:periodic:10:1,battery:3:10:0.5",
+                       /*horizon=*/60, /*probe_every=*/10);
+
+  FaultModel<pp::Epidemic> counts_model;
+  counts_model.join_state = [] { return 0; };
+  counts_model.safe = [](const pp::CountsConfiguration<pp::Epidemic>&) {
+    return true;
+  };
+  NaiveFaultModel<pp::Epidemic> naive_model;
+  naive_model.join_state = [] { return 0; };
+  naive_model.safe = [](const std::vector<int>&) { return true; };
+
+  std::map<std::uint64_t, int> pmf_counts, pmf_naive;
+  for (int t = 0; t < trials; ++t) {
+    std::vector<int> init(n, 0);
+    init[0] = 1;
+    const FaultReport counts = run_fault_plan_counts(
+        protocol, pp::CountsConfiguration<pp::Epidemic>(init), plan,
+        static_cast<std::uint64_t>(5000 + t), counts_model);
+    ++pmf_counts[counts.final_population];
+    const FaultReport naive =
+        run_fault_plan_naive(protocol, init, plan,
+                             static_cast<std::uint64_t>(905000 + t),
+                             naive_model);
+    ++pmf_naive[naive.final_population];
+  }
+  // Some trials must drain agents (6 joins, no leaves).
+  EXPECT_LT(pmf_counts.begin()->first, n + 6u);
+  EXPECT_LT(pmf_naive.begin()->first, n + 6u);
+  const double tv = tv_distance(pmf_counts, pmf_naive, trials);
+  EXPECT_LT(tv, 0.1) << "total variation distance " << tv;
+}
+
 // --- checkpoint / resume determinism --------------------------------------
 
 std::string temp_checkpoint_path(const char* name) {
@@ -491,67 +542,234 @@ std::string temp_checkpoint_path(const char* name) {
          ".ckpt";
 }
 
+constexpr Engine kFaultEngines[] = {Engine::kBatched, Engine::kNaive};
+
+void expect_same_run(const FaultReport& a, const FaultReport& b) {
+  EXPECT_EQ(a.probes, b.probes);
+  EXPECT_EQ(a.probes_safe, b.probes_safe);
+  EXPECT_EQ(a.probes_with_unique_leader, b.probes_with_unique_leader);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.agents_corrupted, b.agents_corrupted);
+  EXPECT_EQ(a.agents_joined, b.agents_joined);
+  EXPECT_EQ(a.agents_left, b.agents_left);
+  EXPECT_EQ(a.agents_drained, b.agents_drained);
+  EXPECT_EQ(a.interactions, b.interactions);
+  EXPECT_EQ(a.final_population, b.final_population);
+  EXPECT_EQ(a.recovery_times, b.recovery_times);
+  EXPECT_EQ(a.registry_fingerprint, b.registry_fingerprint);
+}
+
 TEST(FaultPlanCheckpoint, ResumeContinuesBitIdentically) {
   const Params p = Params::make(16, 8);
-  const FaultPlan plan = corrupt_plan(2000, 2, 60000, 100);
+  // Churn and a battery too, so the cursor carries every part of the
+  // schedule across the resume.
+  const FaultPlan plan = parse_fault_plan(
+      "corrupt:periodic:2000:2,leave:periodic:5000:1,join:periodic:5000:1,"
+      "battery:8:10000:0.3",
+      /*horizon=*/60000, /*probe_every=*/100);
   const std::uint64_t seed = 77;
 
-  // Reference: one uninterrupted run WITH checkpointing (saving
-  // canonicalizes, so only checkpointed runs compare bit-identically).
-  const std::string ref_path = temp_checkpoint_path("ref");
-  std::remove(ref_path.c_str());
-  FaultRunOptions ref_opts;
-  ref_opts.checkpoint_path = ref_path;
-  ref_opts.checkpoint_every = 10000;
-  const FaultReport full =
-      run_fault_plan(Engine::kBatched, p, plan, seed, ref_opts);
-  ASSERT_TRUE(full.completed);
+  for (const Engine engine : kFaultEngines) {
+    SCOPED_TRACE(engine_name(engine));
+    // Reference: one uninterrupted run WITH checkpointing (saving
+    // canonicalizes the counts engine, so only checkpointed runs compare
+    // bit-identically).
+    const std::string ref_path = temp_checkpoint_path("ref");
+    std::remove(ref_path.c_str());
+    FaultRunOptions ref_opts;
+    ref_opts.checkpoint_path = ref_path;
+    ref_opts.checkpoint_every = 10000;
+    const FaultReport full = run_fault_plan(engine, p, plan, seed, ref_opts);
+    ASSERT_TRUE(full.completed);
+    EXPECT_NE(full.registry_fingerprint, 0u);
 
-  // Interrupted twin: run the first half against a SHORTER horizon (the
-  // checkpoint grid is identical), then resume the full plan from its
-  // last checkpoint.
-  const std::string cut_path = temp_checkpoint_path("cut");
-  std::remove(cut_path.c_str());
-  FaultPlan half = plan;
-  half.horizon = 30000;
-  FaultRunOptions cut_opts;
-  cut_opts.checkpoint_path = cut_path;
-  cut_opts.checkpoint_every = 10000;
-  const FaultReport first_half =
-      run_fault_plan(Engine::kBatched, p, half, seed, cut_opts);
-  ASSERT_TRUE(first_half.completed);
-  const FaultReport resumed =
-      run_fault_plan(Engine::kBatched, p, plan, seed, cut_opts);
-  EXPECT_TRUE(resumed.resumed);
-  EXPECT_TRUE(resumed.completed);
-
-  // Counter-for-counter identical ends.
-  EXPECT_EQ(full.probes, resumed.probes);
-  EXPECT_EQ(full.probes_safe, resumed.probes_safe);
-  EXPECT_EQ(full.agents_corrupted, resumed.agents_corrupted);
-  EXPECT_EQ(full.recovery_times, resumed.recovery_times);
-  EXPECT_EQ(full.final_population, resumed.final_population);
-  EXPECT_EQ(full.registry_fingerprint, resumed.registry_fingerprint);
-  std::remove(ref_path.c_str());
-  std::remove(cut_path.c_str());
+    // Interrupted twin: run the first half against a SHORTER horizon (the
+    // checkpoint grid is identical), then resume the full plan from its
+    // last checkpoint.
+    const std::string cut_path = temp_checkpoint_path("cut");
+    std::remove(cut_path.c_str());
+    FaultPlan half = plan;
+    half.horizon = 30000;
+    FaultRunOptions cut_opts;
+    cut_opts.checkpoint_path = cut_path;
+    cut_opts.checkpoint_every = 10000;
+    const FaultReport first_half =
+        run_fault_plan(engine, p, half, seed, cut_opts);
+    ASSERT_TRUE(first_half.completed);
+    const FaultReport resumed =
+        run_fault_plan(engine, p, plan, seed, cut_opts);
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_TRUE(resumed.completed);
+    expect_same_run(full, resumed);
+    // Naive saves leave the engine as it is, so checkpointing does not
+    // move the trajectory at all.
+    if (engine == Engine::kNaive) {
+      expect_same_run(full, run_fault_plan(engine, p, plan, seed));
+    }
+    std::remove(ref_path.c_str());
+    std::remove(cut_path.c_str());
+  }
 }
 
 TEST(FaultPlanCheckpoint, ResumingAFinishedRunIsANoOp) {
   const Params p = Params::make(16, 8);
   const FaultPlan plan = corrupt_plan(2000, 2, 20000, 100);
-  const std::string path = temp_checkpoint_path("done");
+  for (const Engine engine : kFaultEngines) {
+    SCOPED_TRACE(engine_name(engine));
+    const std::string path = temp_checkpoint_path("done");
+    std::remove(path.c_str());
+    FaultRunOptions opts;
+    opts.checkpoint_path = path;
+    opts.checkpoint_every = 5000;
+    const FaultReport first = run_fault_plan(engine, p, plan, 5, opts);
+    const FaultReport again = run_fault_plan(engine, p, plan, 5, opts);
+    EXPECT_FALSE(first.resumed);
+    EXPECT_TRUE(again.resumed);
+    expect_same_run(first, again);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(FaultPlanCheckpoint, NaiveResumesBitIdenticallyAfterSigkill) {
+  // A real kill −9: a forked child runs the ElectLeader_r soak plan on
+  // naive with checkpoints and is SIGKILLed once its file holds the third
+  // save; resuming from that file must end exactly where an uninterrupted
+  // run ends.
+  const Params p = Params::make(64, 8);
+  const FaultPlan plan = parse_fault_plan(
+      "corrupt:recovery:4,leave:periodic:1000000:2,join:periodic:1000000:2",
+      /*horizon=*/20000000, /*probe_every=*/640);
+  const std::uint64_t every = 400000;
+  const std::uint64_t seed = 31;
+  FaultRunOptions opts;
+  opts.checkpoint_every = every;
+  opts.checkpoint_path = temp_checkpoint_path("full");
+  std::remove(opts.checkpoint_path.c_str());
+  const FaultReport full = run_fault_plan(Engine::kNaive, p, plan, seed, opts);
+  ASSERT_TRUE(full.completed);
+  ASSERT_GT(full.recovery_times.size(), 0u);
+
+  opts.checkpoint_path = temp_checkpoint_path("killed");
+  std::remove(opts.checkpoint_path.c_str());
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    run_fault_plan(Engine::kNaive, p, plan, seed, opts);
+    _exit(0);
+  }
+  std::uint64_t killed_at = 0;
+  for (int i = 0; i < 60000 && killed_at < 3 * every; ++i) {
+    if (const auto doc = obs::checkpoint_load(opts.checkpoint_path)) {
+      killed_at = doc->interactions;
+    }
+    if (killed_at < 3 * every) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  kill(child, SIGKILL);
+  waitpid(child, nullptr, 0);
+  const auto doc = obs::checkpoint_load(opts.checkpoint_path);
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_GE(doc->interactions, 3 * every);
+  ASSERT_LT(doc->interactions, plan.horizon) << "the child finished first";
+
+  const FaultReport resumed =
+      run_fault_plan(Engine::kNaive, p, plan, seed, opts);
+  EXPECT_TRUE(resumed.resumed);
+  expect_same_run(full, resumed);
+  std::remove(opts.checkpoint_path.c_str());
+  std::remove(temp_checkpoint_path("full").c_str());
+}
+
+// --- resume-time checks: a checkpoint no run of this engine could write --
+
+/// Runs `plan` with checkpoints to its horizon and returns the file.
+std::string finished_checkpoint(Engine engine, const FaultPlan& plan,
+                                const char* name) {
+  const std::string path = temp_checkpoint_path(name);
   std::remove(path.c_str());
   FaultRunOptions opts;
   opts.checkpoint_path = path;
   opts.checkpoint_every = 5000;
-  const FaultReport first =
-      run_fault_plan(Engine::kBatched, p, plan, 5, opts);
-  const FaultReport again =
-      run_fault_plan(Engine::kBatched, p, plan, 5, opts);
-  EXPECT_TRUE(again.resumed);
-  EXPECT_EQ(first.probes, again.probes);
-  EXPECT_EQ(first.registry_fingerprint, again.registry_fingerprint);
+  run_fault_plan(engine, Params::make(16, 8), plan, 3, opts);
+  return path;
+}
+
+/// Applies `edit` to the fault cursor of the checkpoint at `path`.
+template <typename Edit>
+void edit_cursor(const std::string& path, Edit edit) {
+  auto doc = obs::checkpoint_load(path);
+  ASSERT_TRUE(doc && doc->cursor);
+  auto cur = fault_cursor_from_json(*doc->cursor);
+  ASSERT_TRUE(cur);
+  edit(*cur);
+  doc->cursor = fault_cursor_to_json(*cur);
+  ASSERT_TRUE(obs::checkpoint_save(path, *doc));
+}
+
+void expect_resume_exits(Engine engine, const FaultPlan& plan,
+                         const std::string& path, const char* message) {
+  FaultRunOptions opts;
+  opts.checkpoint_path = path;
+  opts.checkpoint_every = 5000;
+  EXPECT_EXIT(run_fault_plan(engine, Params::make(16, 8), plan, 3, opts),
+              ::testing::ExitedWithCode(2), message);
+}
+
+TEST(FaultPlanCheckpointDeath, CheckpointOfTheOtherEngineDoesNotRestore) {
+  const FaultPlan plan = corrupt_plan(2000, 2, 20000, 100);
+  const std::string batched =
+      finished_checkpoint(Engine::kBatched, plan, "batched");
+  expect_resume_exits(Engine::kNaive, plan, batched, "does not restore");
+  const std::string naive = finished_checkpoint(Engine::kNaive, plan, "naive");
+  expect_resume_exits(Engine::kBatched, plan, naive, "does not restore");
+  std::remove(batched.c_str());
+  std::remove(naive.c_str());
+}
+
+TEST(FaultPlanCheckpointDeath, RuleTimerNotAfterTheClockExits) {
+  // next[i] <= t would make the loop's next stop lie in the past.
+  const FaultPlan plan = corrupt_plan(2000, 2, 20000, 100);
+  for (const Engine engine : kFaultEngines) {
+    const std::string path = finished_checkpoint(engine, plan, "next");
+    edit_cursor(path, [](FaultCursor& cur) { cur.next[0] = cur.t; });
+    expect_resume_exits(engine, plan, path, "field: next");
+    std::remove(path.c_str());
+  }
+}
+
+TEST(FaultPlanCheckpointDeath, CycleStartAfterTheClockExits) {
+  // An open cycle starting in the future would wrap its recovery sample.
+  const FaultPlan plan = corrupt_plan(2000, 2, 20000, 100);
+  const std::string path = finished_checkpoint(Engine::kBatched, plan, "cycle");
+  edit_cursor(path, [](FaultCursor& cur) {
+    cur.in_cycle = true;
+    cur.cycle_start = cur.t + 1;
+  });
+  expect_resume_exits(Engine::kBatched, plan, path, "field: cycle_start");
   std::remove(path.c_str());
+}
+
+TEST(FaultPlanCheckpointDeath, LastCheckpointAfterTheClockExits) {
+  const FaultPlan plan = corrupt_plan(2000, 2, 20000, 100);
+  const std::string path = finished_checkpoint(Engine::kNaive, plan, "last");
+  edit_cursor(path,
+              [](FaultCursor& cur) { cur.last_checkpoint = cur.t + 1; });
+  expect_resume_exits(Engine::kNaive, plan, path, "field: last_checkpoint");
+  std::remove(path.c_str());
+}
+
+TEST(FaultPlanCheckpointDeath, BatteryNotMatchingThePopulationExits) {
+  // The counts histogram must total n; the naive battery holds one charge
+  // per agent.
+  const FaultPlan plan = parse_fault_plan(
+      "corrupt:periodic:2000:2,battery:4:3000:0.5", 20000, 100);
+  for (const Engine engine : kFaultEngines) {
+    const std::string path = finished_checkpoint(engine, plan, "battery");
+    edit_cursor(path, [](FaultCursor& cur) { cur.battery.push_back(1); });
+    expect_resume_exits(engine, plan, path, "field: battery");
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
