@@ -24,6 +24,7 @@
 #include "analysis/measure.hpp"
 #include "core/adversary.hpp"
 #include "core/params.hpp"
+#include "obs/journal.hpp"
 #include "obs/report.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -121,7 +122,9 @@ int main(int argc, char** argv) {
             << "  engine=naive start=" << analysis::start_name(start)
             << " mult=" << analysis::multiplicity_name(mult)
             << " topology=" << analysis::topology_name(topology)
-            << "  (budget per trial: " << budget << " interactions)\n";
+            << "  (budget per trial: " << budget << " interactions)"
+            << "  peak_rss=" << obs::peak_rss_kb() << " kB\n";
+  report.set("peak_rss_kb", obs::peak_rss_kb());
   report.section("recovery", std::move(rows));
   report.write_if(json_path, std::cout);
   return 0;

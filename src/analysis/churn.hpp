@@ -166,7 +166,8 @@ struct FaultRunOptions {
   /// checkpoint (engine + fault cursor) is written atomically every
   /// `checkpoint_every` interactions at the probe grid, and an existing
   /// file at the path is resumed from (bit-identically) unless `resume`
-  /// is false.
+  /// is false.  A file there that does not load as a checkpoint exits 2
+  /// (field: checkpoint) and is left as it was.
   std::string checkpoint_path;
   std::uint64_t checkpoint_every = 0;
   bool resume = true;
@@ -429,7 +430,9 @@ FaultReport run_fault_loop(Adapter& eng, const FaultPlan& plan,
   }
 
   bool resumed = false;
-  if (want_ckpt && opts.resume) {
+  // A missing file starts the run fresh; one that exists but does not load
+  // is refused, since starting fresh would overwrite it.
+  if (want_ckpt && opts.resume && obs::checkpoint_present(path)) {
     if (auto doc = obs::checkpoint_load(path)) {
       auto restored = doc->cursor ? fault_cursor_from_json(*doc->cursor)
                                   : std::nullopt;
@@ -453,6 +456,9 @@ FaultReport run_fault_loop(Adapter& eng, const FaultPlan& plan,
       cur = std::move(*restored);
       fault_rng.set_state(cur.fault_rng);
       resumed = true;
+    } else {
+      fault_plan_die("checkpoint at " + path +
+                     " cannot be read as a checkpoint (field: checkpoint)");
     }
   }
   // Rule i's next fire time after `t`; recovery rules fire off the probe

@@ -47,16 +47,29 @@ void make_safe_agent(const Params& params, std::uint32_t i, Agent& a) {
 /// holds for *other* ranks (the governor's own copies stay tied to its
 /// observations by the state-space restriction).
 void corrupt_messages(const Params& params, Agent& a, util::Rng& rng) {
-  const std::uint32_t own_bucket = params.rank_in_group(a.rank) - 1;
+  MsgStore& msgs = a.sv.dc.msgs;
+  if (msgs.empty()) return;
   const std::uint64_t wrong_contents =
       params.signature_space(params.group_of(a.rank)) - 1;
-  for (std::size_t k = 0; k < a.sv.dc.msgs.size(); ++k) {
-    if (k == own_bucket) continue;
-    for (Msg& msg : a.sv.dc.msgs[k]) {
+  const auto corrupt = [&](Msg* first, Msg* last) {
+    for (Msg* msg = first; msg != last; ++msg) {
       if (rng.below(4) == 0) {
-        msg.content = static_cast<std::uint32_t>(2 + rng.below(wrong_contents));
+        msg->content =
+            static_cast<std::uint32_t>(2 + rng.below(wrong_contents));
       }
     }
+  };
+  // Buckets are contiguous, so the other ranks' messages are the slots
+  // before and after the agent's own bucket.
+  Msg* const first = msgs[0].begin();
+  Msg* const last = msgs[msgs.size() - 1].end();
+  const std::size_t own_bucket = params.rank_in_group(a.rank) - 1;
+  if (own_bucket < msgs.size()) {
+    const auto own = msgs[own_bucket];
+    corrupt(first, own.begin());
+    corrupt(own.end(), last);
+  } else {
+    corrupt(first, last);
   }
 }
 

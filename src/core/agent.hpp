@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -137,11 +138,13 @@ class BucketView {
 
 /// The sparse message arrays of Fig. 3 for one agent, in one buffer.
 ///
-/// The buffer opens with one header slot per bucket, {first, last} indices
-/// of the bucket's messages, followed by the messages themselves,
-/// bucket-major and ID-sorted within each bucket.  Buckets are packed, so
-/// the header of bucket 0 starts at the bucket count and equal stores have
-/// equal buffers: copy, == and the hash are single passes.
+/// The buffer opens with a header of 32-bit words packed two per slot: the
+/// bucket count, then one end index (one past the last message) per bucket.
+/// Bucket 0 starts right after the header and bucket k where bucket k − 1
+/// ends.  An even bucket count leaves the header's last half-slot spare; it
+/// is always zero.  The messages follow, bucket-major and ID-sorted within
+/// each bucket.  Buckets are packed, so equal stores have equal buffers:
+/// copy, == and the hash are single passes.
 class MsgStore {
  public:
   using Bucket = BucketView<Msg>;
@@ -179,24 +182,26 @@ class MsgStore {
   /// Number of buckets.
   std::size_t size() const { return slots_.empty() ? 0 : slots_[0].id; }
   bool empty() const { return slots_.empty(); }
-  /// Header slots reserved: the bucket count, or the whole buffer while the
+  /// Header slots reserved: (size() + 2) / 2, or the whole buffer while the
   /// store holds no bucket.  With the buckets' capacity() this accounts for
   /// every reserved slot.
-  std::size_t capacity() const { return empty() ? slots_.capacity() : size(); }
+  std::size_t capacity() const {
+    return empty() ? slots_.capacity() : header_end();
+  }
   /// Messages held, over all buckets.
-  std::size_t message_count() const { return slots_.size() - size(); }
+  std::size_t message_count() const {
+    return empty() ? 0 : slots_.size() - header_end();
+  }
   /// Heap bytes of the buffer.
   std::size_t heap_bytes() const { return slots_.capacity() * sizeof(Msg); }
 
   Bucket operator[](std::size_t k) {
     Msg* data = slots_.data();
-    return {data + slots_[k].id, data + slots_[k].content,
-            data + limit_of(k)};
+    return {data + first_of(k), data + end_of(k), data + limit_of(k)};
   }
   ConstBucket operator[](std::size_t k) const {
     const Msg* data = slots_.data();
-    return {data + slots_[k].id, data + slots_[k].content,
-            data + limit_of(k)};
+    return {data + first_of(k), data + end_of(k), data + limit_of(k)};
   }
   Iterator<MsgStore, Bucket> begin() { return {this, 0}; }
   Iterator<MsgStore, Bucket> end() { return {this, size()}; }
@@ -214,9 +219,12 @@ class MsgStore {
   void clear(std::size_t buckets, std::size_t messages = 0) {
     slots_.clear();
     if (buckets == 0) return;
-    slots_.reserve(buckets + messages);
-    const auto at = static_cast<std::uint32_t>(buckets);
-    slots_.resize(buckets, Msg{at, at});
+    const std::size_t head = header_slots(buckets);
+    slots_.reserve(head + messages);
+    const auto at = static_cast<std::uint32_t>(head);
+    slots_.resize(head, Msg{at, at});
+    set_word(0, static_cast<std::uint32_t>(buckets));
+    if (buckets % 2 == 0) set_word(buckets + 1, 0);
   }
   /// Appends `count` message slots at the tail and returns the first; the
   /// pointer is valid until the next extend.
@@ -228,8 +236,28 @@ class MsgStore {
   }
   /// Ends bucket k at the tail: it holds every message after bucket k − 1.
   void close_bucket(std::size_t k) {
-    const std::uint32_t first = k == 0 ? slots_[0].id : slots_[k - 1].content;
-    slots_[k] = {first, static_cast<std::uint32_t>(slots_.size())};
+    set_word(k + 1, static_cast<std::uint32_t>(slots_.size()));
+  }
+
+  /// Replaces the contents with `buckets` buckets that each hold the IDs
+  /// first_id, first_id + 1, ..., first_id + width − 1, all with content
+  /// `content`.  One exact reservation, and one pass writes the header and
+  /// the messages.
+  void assign_runs(std::uint32_t buckets, std::uint32_t first_id,
+                   std::uint32_t width, std::uint32_t content) {
+    slots_.clear();
+    if (buckets == 0) return;
+    const std::size_t head = header_slots(buckets);
+    slots_.reserve(head + std::size_t{buckets} * width);
+    slots_.resize(head + std::size_t{buckets} * width);
+    set_word(0, buckets);
+    Msg* out = slots_.data() + head;
+    for (std::uint32_t k = 0; k < buckets; ++k) {
+      for (std::uint32_t i = 0; i < width; ++i) {
+        *out++ = {first_id + i, content};
+      }
+      set_word(k + 1, static_cast<std::uint32_t>(out - slots_.data()));
+    }
   }
 
   // --- Single-message edits (adversaries, tests) -----------------------------
@@ -239,24 +267,21 @@ class MsgStore {
     const Bucket b = (*this)[k];
     const Msg* at = std::upper_bound(b.begin(), b.end(), msg);
     slots_.insert(slots_.begin() + (at - slots_.data()), msg);
-    slots_[k].content += 1;
-    for (std::size_t j = k + 1; j < size(); ++j) {
-      slots_[j].id += 1;
-      slots_[j].content += 1;
-    }
+    for (std::size_t j = k + 1; j <= size(); ++j) set_word(j, word(j) + 1);
   }
   /// Keeps, in order, the messages for which keep(bucket, msg) is true;
   /// `keep` may edit the message it is given.
   template <typename Keep>
   void retain(Keep keep) {
-    std::uint32_t write = static_cast<std::uint32_t>(size());
+    if (empty()) return;
+    std::size_t read = header_end();
+    std::size_t write = read;
     for (std::size_t k = 0; k < size(); ++k) {
-      const std::uint32_t first = write;
-      for (std::uint32_t i = slots_[k].id; i < slots_[k].content; ++i) {
-        Msg msg = slots_[i];
+      for (const std::size_t last = end_of(k); read < last; ++read) {
+        Msg msg = slots_[read];
         if (keep(k, msg)) slots_[write++] = msg;
       }
-      slots_[k] = {first, write};
+      set_word(k + 1, static_cast<std::uint32_t>(write));
     }
     slots_.resize(write);
   }
@@ -264,11 +289,34 @@ class MsgStore {
   friend bool operator==(const MsgStore&, const MsgStore&) = default;
 
  private:
+  /// Slots the header of `buckets` ≥ 1 buckets takes: buckets + 1 words.
+  static std::size_t header_slots(std::size_t buckets) {
+    return (buckets + 2) / 2;
+  }
+  /// Where bucket 0 starts; the store must hold a bucket.
+  std::size_t header_end() const { return header_slots(slots_[0].id); }
+  /// Header word i: word 0 is the bucket count, word k + 1 bucket k's end.
+  /// Slot i / 2's id is word i for even i, its content for odd i; copying
+  /// the bytes makes that one load, with no branch on the parity.
+  std::uint32_t word(std::size_t i) const {
+    std::uint32_t w = 0;
+    std::memcpy(&w, reinterpret_cast<const unsigned char*>(slots_.data()) +
+                        i * sizeof w, sizeof w);
+    return w;
+  }
+  void set_word(std::size_t i, std::uint32_t w) {
+    std::memcpy(reinterpret_cast<unsigned char*>(slots_.data()) + i * sizeof w,
+                &w, sizeof w);
+  }
+  std::size_t end_of(std::size_t k) const { return word(k + 1); }
+  std::size_t first_of(std::size_t k) const {
+    return k == 0 ? header_end() : end_of(k - 1);
+  }
   std::size_t limit_of(std::size_t k) const {
-    return k + 1 < size() ? slots_[k + 1].id : slots_.capacity();
+    return k + 1 < size() ? end_of(k) : slots_.capacity();
   }
 
-  std::vector<Msg> slots_;  ///< header (one {first, last} per bucket), messages
+  std::vector<Msg> slots_;  ///< header words, then messages
 };
 
 struct DcState {
@@ -317,6 +365,7 @@ struct Agent {
 
 // Naive populations hold n agents inline; keep rankers cache-sized.
 static_assert(sizeof(MsgStore) == sizeof(std::vector<Msg>));
+static_assert(sizeof(Msg) == 2 * sizeof(std::uint32_t));  // header words
 static_assert(sizeof(Agent) <= 200);
 
 // ---------------------------------------------------------------------------

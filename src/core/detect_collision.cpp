@@ -68,13 +68,7 @@ void dc_reset(const Params& params, std::uint32_t rank, DcState& s) {
   const std::uint32_t slice = ids / m;
   const std::uint32_t lo = (pos - 1) * slice + 1;
   const std::uint32_t hi = (pos == m) ? ids : pos * slice;
-  const std::uint32_t width = hi + 1 - lo;
-  s.msgs.clear(m, static_cast<std::size_t>(m) * width);
-  for (std::uint32_t k = 0; k < m; ++k) {
-    Msg* out = s.msgs.extend(width);
-    for (std::uint32_t j = lo; j <= hi; ++j) *out++ = {j, 1};
-    s.msgs.close_bucket(k);
-  }
+  s.msgs.assign_runs(m, lo, hi + 1 - lo, 1);
 }
 
 DcState dc_initial_state(const Params& params, std::uint32_t rank) {

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -190,6 +191,11 @@ std::optional<CheckpointDoc> checkpoint_load(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return checkpoint_parse(buf.str());
+}
+
+bool checkpoint_present(const std::string& path) {
+  std::error_code no_status;
+  return std::filesystem::exists(path, no_status) || no_status;
 }
 
 }  // namespace ssle::obs

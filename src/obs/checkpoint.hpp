@@ -84,6 +84,11 @@ bool checkpoint_save(const std::string& path, const CheckpointDoc& doc);
 /// Loads and parses `path`; nullopt when the file is missing or malformed.
 std::optional<CheckpointDoc> checkpoint_load(const std::string& path);
 
+/// Whether a resume must load `path`: false only when no file is there.  A
+/// path whose status cannot be read counts as present, so a resume refuses
+/// it rather than starting fresh over it.
+bool checkpoint_present(const std::string& path);
+
 /// Formats one RNG state as the 4 hex-string words the document stores.
 util::Json rng_state_to_json(const std::array<std::uint64_t, 4>& state);
 

@@ -279,13 +279,22 @@ TEST(AgentGolden, RandomAgentsHashAndSnapshotAsRecorded) {
 TEST(AgentGolden, LayoutStaysCompact) {
   EXPECT_LE(sizeof(Agent), 200u);
   // A fresh verifier's DetectCollision state is two heap blocks: the
-  // message store and the observations.
+  // message store and the observations.  The store's header packs the
+  // bucket count and one end index per bucket two to a slot.
   const Params params = Params::make(64, 8, MessageMultiplicity::kLight);
   const DcState dc = dc_initial_state(params, 5);
   const std::uint32_t m = params.group_size(params.group_of(5));
   EXPECT_EQ(dc.msgs.size(), m);
   EXPECT_EQ(dc.msgs.heap_bytes(),
-            (m + dc.msgs.message_count()) * sizeof(Msg));
+            ((m + 2) / 2 + dc.msgs.message_count()) * sizeof(Msg));
+  // A verifier of the recovery workload (n = 10^5, r = 64, light) in a
+  // group of 64: 64 buckets of 4 messages behind a 33-slot header, 2 312
+  // bytes.
+  const Params wide = Params::make(100000, 64, MessageMultiplicity::kLight);
+  const DcState big = dc_initial_state(wide, wide.n);
+  EXPECT_EQ(big.msgs.size(), 64u);
+  EXPECT_EQ(big.msgs.message_count(), 256u);
+  EXPECT_EQ(big.msgs.heap_bytes(), (33u + 256u) * sizeof(Msg));
   // perfbench's per-bucket accounting stays an upper bound on the buffer.
   std::size_t reported = dc.msgs.capacity() * sizeof(std::vector<Msg>);
   for (const auto& bucket : dc.msgs) {

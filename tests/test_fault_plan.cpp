@@ -15,7 +15,9 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -725,6 +727,25 @@ TEST(FaultPlanCheckpointDeath, CheckpointOfTheOtherEngineDoesNotRestore) {
   expect_resume_exits(Engine::kBatched, plan, naive, "does not restore");
   std::remove(batched.c_str());
   std::remove(naive.c_str());
+}
+
+TEST(FaultPlanCheckpointDeath, UnreadableCheckpointExitsAndIsKept) {
+  // A file that exists but does not parse is not a missing checkpoint:
+  // starting fresh would overwrite it.
+  const FaultPlan plan = corrupt_plan(2000, 2, 20000, 100);
+  const std::string truncated =
+      R"({"kind": "ssle-checkpoint", "v": 1, "engine": "na)";
+  for (const Engine engine : kFaultEngines) {
+    const std::string path = temp_checkpoint_path("truncated");
+    { std::ofstream(path) << truncated; }
+    expect_resume_exits(engine, plan, path,
+                        "checkpoint at .*truncated.* \\(field: checkpoint\\)");
+    std::ifstream in(path);
+    std::ostringstream left;
+    left << in.rdbuf();
+    EXPECT_EQ(left.str(), truncated);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(FaultPlanCheckpointDeath, RuleTimerNotAfterTheClockExits) {
