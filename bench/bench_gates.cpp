@@ -33,12 +33,15 @@ namespace {
 using namespace ssle;
 using Clock = std::chrono::steady_clock;
 
-constexpr std::uint32_t kEpiN = 50000;            // memo + obs gates
-constexpr std::uint64_t kEpiWork = 50ull * kEpiN;
+// The memo, obs and flat workloads are sized so each side runs for
+// ≈ 0.16–0.4 s, the leap sweep so its batched side runs ≈ 0.07 s: at
+// those sizes a gate's factor decides it, not the 0.02 s slack.
+constexpr std::uint32_t kEpiN = 1000000;          // memo + obs gates
+constexpr std::uint64_t kEpiWork = 600ull * kEpiN;
 constexpr std::uint64_t kSweepN = 10000000;       // leap gate
 constexpr std::size_t kSweepTrials = 4;
 constexpr std::uint32_t kFlatN = 50000;           // flat gate
-constexpr std::uint64_t kFlatWork = 100000;
+constexpr std::uint64_t kFlatWork = 5000000;
 
 template <class F> double timed(F&& f) {
   const auto t0 = Clock::now();

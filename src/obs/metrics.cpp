@@ -32,6 +32,8 @@ EngineMetrics& EngineMetrics::merge(const EngineMetrics& other) {
   envelope_breaches += other.envelope_breaches;
   split_depth_max = std::max(split_depth_max, other.split_depth_max);
   banded_pieces += other.banded_pieces;
+  leap_marginals += other.leap_marginals;
+  leap_cap_max = std::max(leap_cap_max, other.leap_cap_max);
   return *this;
 }
 
@@ -64,6 +66,8 @@ util::Json EngineMetrics::to_json() const {
   j.set("envelope_breaches", envelope_breaches);
   j.set("split_depth_max", split_depth_max);
   j.set("banded_pieces", banded_pieces);
+  j.set("leap_marginals", leap_marginals);
+  j.set("leap_cap_max", leap_cap_max);
   return j;
 }
 

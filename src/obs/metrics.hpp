@@ -77,17 +77,19 @@ struct EngineMetrics {
   std::uint64_t envelope_breaches = 0;  ///< window splits taken
   std::uint64_t split_depth_max = 0;    ///< deepest split recursion seen
   std::uint64_t banded_pieces = 0;      ///< pieces on the banded batch path
+  std::uint64_t leap_marginals = 0;     ///< banded candidates resolved singly
+  std::uint64_t leap_cap_max = 0;       ///< largest window event cap used
 
   /// Snapshot as a Json object (field names == member names; `engine`
   /// first).  Schema-stable: obs::kMetricsSchemaVersion names its version.
   util::Json to_json() const;
 
   /// Accumulates another snapshot into this one: every counter field sums,
-  /// except split_depth_max (a maximum, so it maxes) and engine (this
-  /// snapshot's name wins unless it is still empty).  This is how callers
-  /// aggregate across trials — summing is the right fold even for the
-  /// gauge-like registry fields (live/allocated/capacity/entries), which
-  /// become totals across the merged parts.
+  /// except split_depth_max and leap_cap_max (maxima, so they max) and
+  /// engine (this snapshot's name wins unless it is still empty).  This is
+  /// how callers aggregate across trials — summing is the right fold even
+  /// for the gauge-like registry fields (live/allocated/capacity/entries),
+  /// which become totals across the merged parts.
   EngineMetrics& merge(const EngineMetrics& other);
   EngineMetrics& operator+=(const EngineMetrics& other) {
     return merge(other);
@@ -99,7 +101,7 @@ struct EngineMetrics {
 };
 
 /// Version of the EngineMetrics JSON field set.  Bump when fields are
-/// renamed or removed (additions are compatible).
-inline constexpr int kMetricsSchemaVersion = 2;
+/// renamed, removed or added.  3 added leap_marginals and leap_cap_max.
+inline constexpr int kMetricsSchemaVersion = 3;
 
 }  // namespace ssle::obs

@@ -27,8 +27,12 @@
 // interactions before the next active one is geometric with success
 // probability W_act / W_tot — but sampling it per event still costs a log
 // per active interaction.  Instead the engine works in *windows* of m
-// scheduler slots under a thinning envelope:
+// scheduler slots under a thinning envelope, each with its own event cap:
 //
+//   * the window's cap is chosen from the counts at its start (window_cap
+//     below): cap = min(event_cap, max(6144, ⌊1.5·√c_min⌋)), c_min the
+//     smallest count in a firing pair type, and stays fixed for the whole
+//     window, splits included;
 //   * W̄ ≥ sup W_act over every state reachable within the window
 //     (each active event moves any single class count by ≤ 2, so
 //     W̄ = Σ_active w(c_a + 2·cap, c_b + 2·cap) computed at window start
@@ -55,6 +59,18 @@
 //     conditional probability (split_piece below) — the trajectory law
 //     is exact, not approximate, on every path.
 //
+// Window sizing.  The cap trades two costs.  Each window costs a fixed
+// overhead (envelope rebuild, binomial draw: ≈ 200 ns), paid C/cap times
+// per C candidates; the envelope's slack 2·cap widens the banded path's
+// marginal band (below) by ≈ cap/c_min per candidate, so the marginals
+// cost ∝ cap·C/c_min.  The sum is smallest at cap ∝ √c_min, and 1.5 is the
+// measured best constant (ROADMAP Perf/limits: 0.75–3 within 25 %).  A
+// Lemma A.2 epidemic at n = 10^10 then takes Θ(√n) windows (≈ 2.7·10^5)
+// where a fixed cap of 6144 took Θ(n) (≈ 2.4·10^6).  Because the cap
+// depends only on the state at the window's start, the thinning and split
+// arguments hold for it exactly as for a fixed cap.  An explicit
+// event_cap ≤ 6144 pins every window to that cap.
+
 // Banded batch (the n = 10^10 enabler).  When every active pair type has
 // the *same net count delta* (the epidemic: both orders of (I, S) are net
 // {S: −1, I: +1}), which type fired is irrelevant to the counts
@@ -166,16 +182,21 @@ class LeapingSimulator {
   using Predicate =
       std::function<bool(const Config&, std::uint64_t /*interactions*/)>;
 
-  /// Events-per-window envelope bound.  Windows are sized for ≈ 2·cap/3
-  /// expected candidates, so the envelope (valid for ≤ cap events) is
-  /// breached — c > cap, a 1.5× overshoot of the mean — with probability
-  /// < e^(−cap/18) by Chernoff: ~e^(−341) at the default, never in
-  /// practice; the exact split path covers it when it happens.  The cap
-  /// also sets the envelope slack (2·cap on every count), so it trades
-  /// window overhead against band width: smaller caps mean more windows
-  /// but a tighter marginal band for the banded batch path.  Tests use
-  /// tiny caps to force the split path.
-  static constexpr std::uint32_t kDefaultEventCap = 6144;
+  /// Default event_cap, the ceiling on every window's cap.  Each window's
+  /// cap is min(event_cap, max(kMinWindowCap, ⌊kCapScale·√c_min⌋)) from
+  /// the counts at its start (header comment, "Window sizing").  Windows
+  /// are sized for ≈ 2·cap/3 expected candidates, so the envelope (valid
+  /// for ≤ cap events) is breached — c > cap, a 1.5× overshoot of the mean — with
+  /// probability < e^(−cap/18) by Chernoff: ~e^(−341) or less, never in
+  /// practice; the exact split path covers it when it happens.  Tests pass
+  /// tiny caps to force the split path; any event_cap ≤ kMinWindowCap fixes
+  /// every window's cap at event_cap.
+  static constexpr std::uint32_t kDefaultEventCap = 1u << 24;
+  /// Smallest cap a window gets unless event_cap is lower: 6144 is the
+  /// fixed cap the engine used before windows were sized from the counts.
+  static constexpr std::uint32_t kMinWindowCap = 6144;
+  /// α in cap = α·√c_min, measured on the n = 10^10 epidemic.
+  static constexpr double kCapScale = 1.5;
 
   LeapingSimulator(const P& protocol, Config config, std::uint64_t seed,
                    std::uint32_t event_cap = kDefaultEventCap)
@@ -289,6 +310,8 @@ class LeapingSimulator {
     m.envelope_breaches = splits_;
     m.split_depth_max = split_depth_max_;
     m.banded_pieces = banded_pieces_;
+    m.leap_marginals = marginals_;
+    m.leap_cap_max = cap_max_;
     return m;
   }
 
@@ -494,16 +517,33 @@ class LeapingSimulator {
 
   // --- the leap --------------------------------------------------------
 
+  /// Event cap for a window starting at the current counts:
+  /// min(event_cap, max(kMinWindowCap, ⌊kCapScale·√c_min⌋)), where c_min is
+  /// the smallest count of a class in a pair type with positive weight.
+  /// Needs current weights and W_act > 0 (some type fires).
+  std::uint32_t window_cap() const {
+    if (event_cap_ <= kMinWindowCap) return event_cap_;
+    std::uint64_t c_min = ~std::uint64_t{0};
+    for (const PairType& t : active_) {
+      if (t.w > 0.0) c_min = std::min({c_min, cnt_[t.a], cnt_[t.b]});
+    }
+    const double cap =
+        std::floor(kCapScale * std::sqrt(static_cast<double>(c_min)));
+    if (cap >= static_cast<double>(event_cap_)) return event_cap_;
+    return std::max(kMinWindowCap, static_cast<std::uint32_t>(cap));
+  }
+
   /// Runs one leap window over at most `remaining` scheduler slots;
   /// returns the number of interactions consumed.
   std::uint64_t leap_window(std::uint64_t remaining) {
     refresh_weights();
     if (w_active_ <= 0.0) return remaining;  // frozen: all pair types null
-    const double wbar =
-        std::min(active_weight_bound(2.0 * event_cap_), w_total_);
+    cap_ = window_cap();
+    cap_max_ = std::max(cap_max_, cap_);
+    const double wbar = std::min(active_weight_bound(2.0 * cap_), w_total_);
     const double pbar = std::min(1.0, wbar / w_total_);
     std::uint64_t m = remaining;
-    const double target = 2.0 * static_cast<double>(event_cap_) / 3.0;
+    const double target = 2.0 * static_cast<double>(cap_) / 3.0;
     if (static_cast<double>(m) * pbar > target) {
       // target / pbar < m but for rounding; the test keeps the window
       // inside `remaining` and the cast below m ≤ 2^64.
@@ -537,11 +577,11 @@ class LeapingSimulator {
 
   /// Processes a window piece of `m` slots containing `c` candidates under
   /// envelope `wbar` (computed, with slack 2·cap, at this piece's start
-  /// state).  When c ≤ event_cap_ the envelope is valid for the whole
-  /// piece and the candidates run directly; otherwise the piece is split
-  /// exactly (split_piece).
+  /// state).  When c ≤ cap_ the envelope is valid for the whole piece and
+  /// the candidates run directly; otherwise the piece is split exactly
+  /// (split_piece).
   void run_piece(std::uint64_t m, std::uint64_t c, double wbar) {
-    if (c > event_cap_) {
+    if (c > cap_) {
       split_piece(m, wbar, {Band{c, 0.0, wbar}});
       return;
     }
@@ -597,8 +637,7 @@ class LeapingSimulator {
     run_bands(m1, level, std::move(b1));
     refresh_weights();
     double level2 = level;
-    const double wbar2 =
-        std::min(active_weight_bound(2.0 * event_cap_), w_total_);
+    const double wbar2 = std::min(active_weight_bound(2.0 * cap_), w_total_);
     if (wbar2 > level) {
       // level < wbar2 ≤ W_tot, so the conditional below is well defined.
       const std::uint64_t extra = sample_binomial(
@@ -618,7 +657,7 @@ class LeapingSimulator {
   void run_bands(std::uint64_t m, double level, std::vector<Band> bands) {
     std::uint64_t total = 0;
     for (const Band& b : bands) total += b.count;
-    if (total > event_cap_) {
+    if (total > cap_) {
       split_piece(m, level, std::move(bands));
       return;
     }
@@ -699,6 +738,7 @@ class LeapingSimulator {
             std::clamp((wact_j - wlow) / (wbar - wlow), 0.0, 1.0);
         if (rng_.real() < p_acc) ++accepts;
         ++k;
+        ++marginals_;
       }
     }
     for (const auto& [cls, d] : net_) {
@@ -751,11 +791,12 @@ class LeapingSimulator {
     ++events_;
   }
 
-  const P& protocol_;
+  P protocol_;
   Config config_;
   util::Rng rng_;        ///< scheduler stream (windows, thinning)
   util::Rng agent_rng_;  ///< passed to δ (deterministic δ draws nothing)
-  std::uint32_t event_cap_;
+  std::uint32_t event_cap_;  ///< ceiling on every window's cap
+  std::uint32_t cap_ = 0;    ///< the current window's cap (window_cap)
 
   bool table_built_ = false;
   std::uint32_t table_q_ = 0;            ///< registry extent at closure
@@ -777,6 +818,8 @@ class LeapingSimulator {
   std::uint64_t split_depth_ = 0;      ///< current split recursion depth
   std::uint64_t split_depth_max_ = 0;  ///< deepest recursion over the run
   std::uint64_t banded_pieces_ = 0;
+  std::uint64_t marginals_ = 0;  ///< banded-path candidates resolved singly
+  std::uint32_t cap_max_ = 0;    ///< largest window cap so far
 };
 
 }  // namespace ssle::pp

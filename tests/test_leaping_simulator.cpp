@@ -175,6 +175,34 @@ TEST(LeapingSimulator, FrozenConfigurationConsumesBudgetInConstantTime) {
   EXPECT_EQ(frozen.config().count_of(1), 64u);
 }
 
+TEST(LeapingSimulator, SimulatorBuiltFromATemporaryProtocolOwnsIt) {
+  // The engine keeps its own copy of the protocol: one built from a
+  // temporary must step (ensure_table evaluates δ on the first step) and
+  // follow the same trajectory as one built from a named protocol.
+  const Epidemic named{4096};
+  LeapingSimulator<Epidemic> a(named, 21);
+  LeapingSimulator<Epidemic> b(Epidemic{4096}, 21);
+  a.step(40000);
+  b.step(40000);
+  EXPECT_EQ(b.protocol().n, 4096u);
+  EXPECT_EQ(a.config().count_of(1), b.config().count_of(1));
+  EXPECT_EQ(a.events(), b.events());
+  EXPECT_EQ(a.candidates(), b.candidates());
+  EXPECT_EQ(a.windows(), b.windows());
+
+  // LooseLeader's δ reads the protocol's timeout while the table closes.
+  using Loose = baselines::LooseLeaderElection;
+  const Loose loose(32, /*timeout_scale=*/2);
+  LeapingSimulator<Loose> c(loose, 23);
+  LeapingSimulator<Loose> d(Loose(32, /*timeout_scale=*/2), 23);
+  c.step(2000);
+  d.step(2000);
+  EXPECT_EQ(c.table_classes(), d.table_classes());
+  EXPECT_EQ(c.config().count_if(Loose::is_leader),
+            d.config().count_if(Loose::is_leader));
+  EXPECT_EQ(c.events(), d.events());
+}
+
 TEST(LeapingSimulatorDeathTest, RegistryCompactionBetweenStepsAbortsLoudly) {
   // The pair-type table is keyed on class ids, which the header requires
   // to stay stable after closure.  compact() between steps reclaims dead
@@ -410,6 +438,118 @@ TEST(LeapingEquivalence, SplitPathLawMatchesNaive) {
   // Mean infected ≈ 49.6, sd ≈ 44.9: one SE of the mean gap is
   // sd·sqrt(2/trials) ≈ 0.45, so 1.0 is a ±2.3 SE band.
   EXPECT_NEAR(sum_naive / trials, sum_split / trials, 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Windows sized from the counts (caps ≫ kMinWindowCap at n = 10^10).
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kHugeN = 10'000'000'000ull;
+
+/// Epidemic counts at n = kHugeN with n/4 agents infected; the protocol's
+/// own n is unused (the counts carry it), as in perfbench.
+LeapingSimulator<Epidemic> quarter_infected(std::uint64_t seed,
+                                            std::uint32_t event_cap) {
+  CountsConfiguration<Epidemic> counts(std::vector<int>{1});
+  counts.add(1, kHugeN / 4 - 1);
+  counts.add(0, kHugeN - kHugeN / 4);
+  return LeapingSimulator<Epidemic>(Epidemic{0xffffffffu}, std::move(counts),
+                                    seed, event_cap);
+}
+
+TEST(LeapingWindows, FixedCapAtTheOldDefaultReproducesItsGolden) {
+  // event_cap = kMinWindowCap pins every window's cap at 6144, the fixed
+  // cap the engine used before windows were sized from the counts.  The
+  // figures were recorded from that engine (default cap, same seed).
+  auto sim = quarter_infected(2026, LeapingSimulator<Epidemic>::kMinWindowCap);
+  struct Row {
+    std::uint64_t infected, candidates, windows;
+  };
+  const Row golden[] = {{2504689876ull, 4689908ull, 1146ull},
+                        {2509383843ull, 9383905ull, 2293ull},
+                        {2514088087ull, 14088169ull, 3442ull},
+                        {2518794656ull, 18794766ull, 4592ull}};
+  for (const Row& row : golden) {
+    sim.step(kHugeN / 800);
+    EXPECT_EQ(sim.config().count_of(1), row.infected);
+    EXPECT_EQ(sim.events(), row.infected - kHugeN / 4);
+    EXPECT_EQ(sim.candidates(), row.candidates);
+    EXPECT_EQ(sim.windows(), row.windows);
+    EXPECT_EQ(sim.banded_pieces(), row.windows);
+    EXPECT_EQ(sim.splits(), 0u);
+    EXPECT_EQ(sim.metrics().leap_cap_max,
+              LeapingSimulator<Epidemic>::kMinWindowCap);
+  }
+}
+
+TEST(LeapingWindows, LargeWindowLawMatchesTheFixedCapEngine) {
+  // Two-sample check of the infected count after n/200 slots from
+  // I₀ = n/4 at n = 10^10: the default engine, whose windows here carry
+  // caps ≈ 1.5·√(n/4) = 75 000, against event_cap = 6144 (fixed windows).
+  // Both are exact samplers of the same chain, so the mean gap must sit
+  // inside a few standard errors and the bucketed laws must agree.
+  const std::uint64_t horizon = kHugeN / 200;
+  const int trials = 2000;
+  std::vector<std::uint64_t> fixed, sized;
+  fixed.reserve(trials);
+  sized.reserve(trials);
+  std::uint64_t cap_max = 0;
+  for (int t = 0; t < trials; ++t) {
+    auto a = quarter_infected(400000 + t,
+                              LeapingSimulator<Epidemic>::kMinWindowCap);
+    a.step(horizon);
+    fixed.push_back(a.config().count_of(1));
+    auto b = quarter_infected(600000 + t,
+                              LeapingSimulator<Epidemic>::kDefaultEventCap);
+    b.step(horizon);
+    sized.push_back(b.config().count_of(1));
+    cap_max = std::max(cap_max, b.metrics().leap_cap_max);
+  }
+  EXPECT_GT(cap_max, 70000u) << "windows were not sized from the counts";
+  const auto sf = stats_of(fixed);
+  const auto ss = stats_of(sized);
+  const double se = std::sqrt((sf.sd * sf.sd + ss.sd * ss.sd) / trials);
+  EXPECT_LT(std::abs(sf.mean - ss.mean), 3.0 * se)
+      << "fixed mean=" << sf.mean << " sized mean=" << ss.mean
+      << " se=" << se;
+  EXPECT_GT(ss.sd, 0.9 * sf.sd);
+  EXPECT_LT(ss.sd, 1.1 * sf.sd);
+  // Half-sd buckets around the fixed-cap mean, tails folded at ±3 sd.
+  const auto bucket = [&](std::uint64_t x) {
+    const double z = (static_cast<double>(x) - sf.mean) / (0.5 * sf.sd);
+    return static_cast<std::uint64_t>(std::clamp(std::floor(z), -6.0, 6.0) +
+                                      6.0);
+  };
+  std::map<std::uint64_t, int> pmf_fixed, pmf_sized;
+  for (const auto x : fixed) ++pmf_fixed[bucket(x)];
+  for (const auto x : sized) ++pmf_sized[bucket(x)];
+  const double tv = tv_distance(pmf_fixed, pmf_sized, trials);
+  EXPECT_LT(tv, 0.1) << "total variation distance " << tv;
+}
+
+std::uint64_t windows_to_full_infection(std::uint64_t n, std::uint64_t seed) {
+  CountsConfiguration<Epidemic> counts(std::vector<int>{1});
+  counts.add(0, n - 1);
+  LeapingSimulator<Epidemic> sim(Epidemic{0xffffffffu}, std::move(counts),
+                                 seed);
+  const auto r = sim.run_until(
+      [](const CountsConfiguration<Epidemic>& c, std::uint64_t) {
+        return c.count_of(0) == 0;
+      },
+      ~std::uint64_t{0}, n);
+  EXPECT_TRUE(r.converged) << "n=" << n;
+  EXPECT_EQ(sim.events(), n - 1);
+  return sim.windows();
+}
+
+TEST(LeapingWindows, WindowCountGrowsLikeTheRootOfN) {
+  // Counts windows, not time: a cap fixed at any constant takes Θ(n)
+  // windows per epidemic (≈ 100× from 10^8 to 10^10, 2.4·10^6 at 10^10),
+  // a cap ∝ √c_min takes Θ(√n) (≈ 10×).
+  const std::uint64_t small = windows_to_full_infection(100'000'000ull, 7);
+  const std::uint64_t large = windows_to_full_infection(kHugeN, 7);
+  EXPECT_LE(large, 20 * small) << "small=" << small << " large=" << large;
+  EXPECT_LT(large, 400000u);
 }
 
 // ---------------------------------------------------------------------------

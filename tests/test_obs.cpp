@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -108,6 +109,40 @@ TEST(EngineMetrics, LeapingCountersReconcileUnderSplits) {
   EXPECT_GE(m.split_depth_max, 1u);
 }
 
+TEST(EngineMetrics, LeapWindowCountersOnlyOnTheLeapingEngine) {
+  // A small cap against counts of ~2048 keeps the marginal band narrow
+  // enough for the banded path, which then resolves some candidates one
+  // by one.  The other engines have no windows.
+  pp::Epidemic proto{4096};
+  std::vector<int> half(4096, 0);
+  std::fill(half.begin(), half.begin() + 2048, 1);
+  pp::LeapingSimulator<pp::Epidemic> leap(
+      proto, pp::CountsConfiguration<pp::Epidemic>(half), 17, /*event_cap=*/8);
+  leap.step(2 * 4096);
+  const obs::EngineMetrics m = leap.metrics();
+  ASSERT_GT(m.banded_pieces, 0u);
+  EXPECT_GT(m.leap_marginals, 0u);
+  EXPECT_EQ(m.leap_cap_max, 8u);
+  const std::string line = m.to_json().dump_line();
+  EXPECT_NE(line.find("\"leap_marginals\":"), std::string::npos);
+  EXPECT_NE(line.find("\"leap_cap_max\":8"), std::string::npos);
+
+  pp::Simulator<pp::Epidemic> naive(proto, 3);
+  naive.step(2 * 4096);
+  pp::BatchedSimulator<pp::Epidemic> batched(proto, 3);
+  batched.step(2 * 4096);
+  for (const obs::EngineMetrics& other : {naive.metrics(), batched.metrics()}) {
+    EXPECT_EQ(other.leap_marginals, 0u) << other.engine;
+    EXPECT_EQ(other.leap_cap_max, 0u) << other.engine;
+  }
+
+  // merge() sums the marginals and keeps the largest cap.
+  obs::EngineMetrics acc = m;
+  acc.merge(m);
+  EXPECT_EQ(acc.leap_marginals, 2 * m.leap_marginals);
+  EXPECT_EQ(acc.leap_cap_max, 8u);
+}
+
 TEST(EngineMetrics, DeltaCacheCountersReconcile) {
   pp::Epidemic proto{64};
   pp::BatchedSimulator<pp::Epidemic> sim(proto, 7, pp::BlockSampling::kAuto,
@@ -140,8 +175,9 @@ TEST(EngineMetrics, ToJsonCarriesFlatCounters) {
   const std::string line = m.to_json().dump_line();
   EXPECT_NE(line.find("\"blocks_flat\":"), std::string::npos);
   EXPECT_NE(line.find("\"flat_scan_draws\":"), std::string::npos);
-  // Schema version 2 removed the multi-shard engine's fields.
-  EXPECT_EQ(obs::kMetricsSchemaVersion, 2);
+  // Schema version 2 removed the multi-shard engine's fields; 3 added the
+  // leap window counters.
+  EXPECT_EQ(obs::kMetricsSchemaVersion, 3);
   EXPECT_EQ(line.find("shard"), std::string::npos);
 }
 
