@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "analysis/measure.hpp"
+#include "baselines/cai_izumi_wada.hpp"
+#include "baselines/loose_leader.hpp"
 #include "batched_elect.hpp"
 #include "core/elect_leader.hpp"
 #include "core/params.hpp"
@@ -345,6 +347,75 @@ TEST(FenwickPath, AutoHeuristicKeepsDenseForNarrowRegistries) {
   sim.step(20000);
   EXPECT_GT(sim.dense_blocks(), 0u);
   EXPECT_EQ(sim.fenwick_blocks(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// kAuto golden digests.  Each run below took both per-draw and dense blocks
+// when recorded (CaiIzumiWada n = 64 on about half its blocks, the n = 1000
+// runs on 0.5–1.3 %), and those per-draw blocks were drawn by a
+// small-registry scan sampler that consumed the Fenwick path's RNG stream
+// exactly.  The digests pin the trajectories through that sampler's
+// removal: the Fenwick path must reproduce them bit for bit.  A digest
+// folds, after every chunk of n interactions, the configuration's sorted
+// (state key, count) pairs — registry id order does not enter it.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t word) {
+  for (int k = 0; k < 8; ++k) {
+    h ^= (word >> (8 * k)) & 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+template <typename P, typename Key>
+std::uint64_t chunked_digest(const P& protocol, std::uint64_t seed,
+                             int chunks, Key key) {
+  BatchedSimulator<P> sim(protocol, seed);
+  const std::uint64_t n = protocol.population_size();
+  std::uint64_t h = 1469598103934665603ull;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> kv;
+  for (int i = 0; i < chunks; ++i) {
+    sim.step(n);
+    kv.clear();
+    sim.config().for_each([&](const typename P::State& s, std::uint64_t c) {
+      kv.emplace_back(key(s), c);
+    });
+    std::sort(kv.begin(), kv.end());
+    std::uint64_t d = 1469598103934665603ull;
+    for (const auto& [k, c] : kv) d = fnv_fold(fnv_fold(d, k), c);
+    h = fnv_fold(h, d);
+  }
+  return h;
+}
+
+std::uint64_t rank_key(const baselines::CaiIzumiWada::State& s) {
+  return s.rank;
+}
+
+TEST(SamplerGolden, CaiIzumiWadaN64) {
+  const baselines::CaiIzumiWada proto(64);
+  const std::uint64_t want[] = {0x661c4f4706f6685full, 0x5332ba2ddfb0488dull,
+                                0x4a650fc46ebf4ca5ull};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    EXPECT_EQ(chunked_digest(proto, seed, 4000, rank_key), want[seed - 1])
+        << "seed " << seed;
+  }
+}
+
+TEST(SamplerGolden, CaiIzumiWadaN1000) {
+  const baselines::CaiIzumiWada proto(1000);
+  EXPECT_EQ(chunked_digest(proto, 1, 400, rank_key), 0x095dd64eb0305685ull);
+  EXPECT_EQ(chunked_digest(proto, 2, 400, rank_key), 0xb2a31cb0770b111eull);
+}
+
+TEST(SamplerGolden, LooseLeaderN1000) {
+  const baselines::LooseLeaderElection proto(1000, /*timeout_scale=*/1);
+  const auto key = [](const baselines::LooseLeaderElection::State& s) {
+    return (std::uint64_t{s.timer} << 1) | std::uint64_t{s.leader};
+  };
+  EXPECT_EQ(chunked_digest(proto, 1, 400, key), 0x0d36515cd28f1e58ull);
+  EXPECT_EQ(chunked_digest(proto, 2, 400, key), 0x42233ed47f3c50d4ull);
 }
 
 // ---------------------------------------------------------------------------
