@@ -13,7 +13,6 @@ EngineMetrics& EngineMetrics::merge(const EngineMetrics& other) {
   blocks_dense += other.blocks_dense;
   blocks_fenwick += other.blocks_fenwick;
   blocks_flat += other.blocks_flat;
-  flat_scan_draws += other.flat_scan_draws;
   collision_resolutions += other.collision_resolutions;
   community_pair_draws += other.community_pair_draws;
   fenwick_point_updates += other.fenwick_point_updates;
@@ -47,7 +46,6 @@ util::Json EngineMetrics::to_json() const {
   j.set("blocks_dense", blocks_dense);
   j.set("blocks_fenwick", blocks_fenwick);
   j.set("blocks_flat", blocks_flat);
-  j.set("flat_scan_draws", flat_scan_draws);
   j.set("collision_resolutions", collision_resolutions);
   j.set("community_pair_draws", community_pair_draws);
   j.set("fenwick_point_updates", fenwick_point_updates);

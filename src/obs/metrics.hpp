@@ -51,8 +51,10 @@ struct EngineMetrics {
   // --- batched block machinery -----------------------------------------
   std::uint64_t blocks_dense = 0;           ///< dense-sampler blocks drawn
   std::uint64_t blocks_fenwick = 0;         ///< Fenwick-sampler blocks drawn
-  std::uint64_t blocks_flat = 0;            ///< flat-sampler blocks drawn
-  std::uint64_t flat_scan_draws = 0;        ///< flat cumulative-scan samples
+  /// Always 0: the batched engine has two block samplers (dense and
+  /// Fenwick).  Kept because perfbench still sums it into its block count;
+  /// a change to the benchmark can drop it.
+  std::uint64_t blocks_flat = 0;
   std::uint64_t collision_resolutions = 0;  ///< colliding interactions resolved
   std::uint64_t community_pair_draws = 0;   ///< ordered community pairs drawn
 
@@ -101,7 +103,8 @@ struct EngineMetrics {
 };
 
 /// Version of the EngineMetrics JSON field set.  Bump when fields are
-/// renamed, removed or added.  3 added leap_marginals and leap_cap_max.
-inline constexpr int kMetricsSchemaVersion = 3;
+/// renamed, removed or added.  3 added leap_marginals and leap_cap_max;
+/// 4 removed the flat sampler's scan-draw counter.
+inline constexpr int kMetricsSchemaVersion = 4;
 
 }  // namespace ssle::obs

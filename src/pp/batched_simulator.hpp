@@ -10,7 +10,7 @@
 //      already touched in this block (inverse-transform over the exact
 //      birthday survival probabilities ∏ (n-2t)(n-2t-1)/(n(n-1))).
 //   2. The L = T-1 collision-free interactions involve 2L *distinct* agents
-//      drawn uniformly without replacement.  Three interchangeable, exact
+//      drawn uniformly without replacement.  Two interchangeable, exact
 //      samplers realize that draw (selected per block, see BlockSampling):
 //        * dense: the 2L states are a multivariate hypergeometric draw
 //          from the counts; splitting them into initiators/responders and
@@ -27,12 +27,6 @@
 //          O(q) term anywhere, which is what keeps q ≈ n registries
 //          (ElectLeader_r once identifiers/ranks spread) from paying an
 //          O(q/√n) = O(√n) tax on every interaction.
-//        * flat: the Fenwick path's draw law and RNG stream exactly, but
-//          each class resolves by a branchless cumulative scan over a
-//          dense snapshot of the counts, with the registry's point
-//          updates deferred to one per-class reconciliation at block end.
-//          Breaks the Fenwick descent's pointer-chasing floor when the
-//          registry is narrow (q ≤ kFlatMaxStates).
 //   3. The colliding interaction T is executed individually: conditioned on
 //      "at least one participant was already used", the pair is sampled
 //      from the tracked used/unused multisets, which is exact because agent
@@ -59,12 +53,10 @@
 // truncating a block at a probe boundary) reproduces the sequential
 // process's distribution exactly — BatchedSimulator and Simulator are
 // statistically indistinguishable, which tests/test_batched_simulator.cpp
-// checks empirically, for every block sampler.  The dense sampler draws
-// different randomness from the scheduler stream than the per-draw ones,
-// so switching between them changes per-seed trajectories and equivalence
-// is statistical — EXCEPT flat vs Fenwick, which consume the identical
-// stream and are bit-identical per seed.  Expected block length is
-// L = Θ(√n).
+// checks empirically, for both block samplers.  The dense sampler draws
+// different randomness from the scheduler stream than the Fenwick one, so
+// switching between them changes per-seed trajectories and equivalence is
+// statistical.  Expected block length is L = Θ(√n).
 //
 // The API mirrors Simulator (`step`, `run_until`, RunResult, probe
 // semantics); predicates observe the CountsConfiguration instead of the
@@ -92,24 +84,10 @@ namespace ssle::pp {
 
 /// How a block's 2L collision-free agents are sampled from the registry.
 /// kAuto picks per block: Fenwick when the registry scan would dominate
-/// (q large relative to L·log q), dense otherwise — and substitutes the
-/// flat sampler for Fenwick when the registry is narrow (q ≤ 64), which
-/// preserves the RNG stream exactly (see kFlat).  kDense / kFenwick /
-/// kFlat pin one path — for tests and benchmarks; all are exact.
-///
-/// kFlat is the small-q per-draw sampler: the same draw law and scheduler
-/// stream as kFenwick, but classes resolve through a branchless cumulative
-/// scan over a dense SoA copy of the counts instead of a Fenwick descent,
-/// and the registry's O(log q) point updates are deferred to one per-block
-/// reconciliation.  kFlat and kFenwick runs are bit-identical per seed
-/// (unlike dense vs Fenwick, which draw different randomness).
-enum class BlockSampling { kAuto, kDense, kFenwick, kFlat };
-
-/// Registry-width ceiling for kAuto's flat-for-Fenwick substitution: a
-/// linear cumulative scan touches q counts per draw (one cache line per 8),
-/// a Fenwick descent ~log2 q scattered nodes; the scan's branchless body
-/// and dense locality win while q stays within a few cache lines.
-inline constexpr std::uint32_t kFlatMaxStates = 64;
+/// (q large relative to L·log q), dense otherwise.  kDense / kFenwick pin
+/// one path — the tests law-check each sampler against the naive engine
+/// through them; both are exact.
+enum class BlockSampling { kAuto, kDense, kFenwick };
 
 /// Whether a kDeterministicDelta protocol's transitions go through the
 /// memoized DeltaCache.  kDisabled pins the uncached path (A/B benches,
@@ -349,10 +327,6 @@ class BatchedSimulator {
   /// workload actually exercised; tests pin kAuto's choice down).
   std::uint64_t dense_blocks() const { return dense_blocks_; }
   std::uint64_t fenwick_blocks() const { return fenwick_blocks_; }
-  std::uint64_t flat_blocks() const { return flat_blocks_; }
-  /// Per-draw samples resolved by the flat cumulative scan (the flat
-  /// path's twin of the registry's fenwick_samples counter).
-  std::uint64_t flat_scan_draws() const { return flat_draws_; }
 
   /// Memoized-transition statistics (kDeterministicDelta protocols with
   /// DeltaMemo::kEnabled only; all zero otherwise).
@@ -379,8 +353,6 @@ class BatchedSimulator {
     m.interactions_iterated = interactions_;
     m.blocks_dense = dense_blocks_;
     m.blocks_fenwick = fenwick_blocks_;
-    m.blocks_flat = flat_blocks_;
-    m.flat_scan_draws = flat_draws_;
     m.collision_resolutions = collisions_;
     m.community_pair_draws = community_draws_;
     m.fenwick_point_updates = config_.fenwick_updates();
@@ -425,7 +397,6 @@ class BatchedSimulator {
     config_ = std::move(fresh);
     delta_cache_.clear();
     used_.assign(config_.num_states(), 0);
-    flat_drawn_.assign(config_.num_states(), 0);
     touched_.clear();
   }
 
@@ -481,10 +452,7 @@ class BatchedSimulator {
     const auto [L, collided] = block_length_.draw(rng_, cap);
 
     const std::uint32_t q = config_.num_states();
-    if (use_flat_block(q, L)) {
-      ++flat_blocks_;
-      run_block_flat(n, L, collided);
-    } else if (use_fenwick_block(q, L)) {
+    if (use_fenwick_block(q, L)) {
       ++fenwick_blocks_;
       run_block_fenwick(n, L, collided);
     } else {
@@ -494,35 +462,18 @@ class BatchedSimulator {
     return L + (collided ? 1 : 0);
   }
 
-  /// The per-draw paths (flat, Fenwick) beat the dense registry scan when
-  /// q is large relative to the block: the dense path pays a heavyweight
-  /// hypergeometric evaluation per visited class, the per-draw paths
-  /// ~2L tree descents of ~log2 q steps.  The factor 2 biases toward the
-  /// dense path, which additionally enjoys the bulk same-pair-type fast
-  /// path for deterministic protocols.
-  static bool per_draw_beats_dense(std::uint32_t q, std::uint64_t L) {
-    return static_cast<std::uint64_t>(q) >
-           2 * L * static_cast<std::uint64_t>(std::bit_width(q));
-  }
-
-  /// kAuto substitutes the flat sampler exactly where it would have chosen
-  /// Fenwick AND the registry is narrow enough that a linear scan beats
-  /// the tree descent.  Because kFlat and kFenwick consume the identical
-  /// RNG stream, this substitution leaves every kAuto trajectory
-  /// bit-identical to what it was before kFlat existed — the auto rule is
-  /// a pure speed choice, never a distributional one.
-  bool use_flat_block(std::uint32_t q, std::uint64_t L) const {
-    if (sampling_ == BlockSampling::kFlat) return true;
-    if (sampling_ != BlockSampling::kAuto) return false;
-    return q <= kFlatMaxStates && per_draw_beats_dense(q, L);
-  }
-
-  /// kAuto's Fenwick-vs-dense choice (checked after use_flat_block).
+  /// The Fenwick path beats the dense registry scan when q is large
+  /// relative to the block: the dense path pays a heavyweight
+  /// hypergeometric evaluation per visited class, the Fenwick path ~2L tree
+  /// descents of ~log2 q steps.  The factor 2 biases toward the dense path,
+  /// which additionally enjoys the bulk same-pair-type fast path for
+  /// deterministic protocols.
   bool use_fenwick_block(std::uint32_t q, std::uint64_t L) const {
     if (sampling_ != BlockSampling::kAuto) {
       return sampling_ == BlockSampling::kFenwick;
     }
-    return per_draw_beats_dense(q, L);
+    return static_cast<std::uint64_t>(q) >
+           2 * L * static_cast<std::uint64_t>(std::bit_width(q));
   }
 
   /// Dense sampler: 2L distinct agents without replacement as one
@@ -666,128 +617,6 @@ class BatchedSimulator {
     touched_.clear();
   }
 
-  /// Flat sampler: the same draw law AND the same scheduler stream as the
-  /// Fenwick path — every rng_ consumption below mirrors run_block_fenwick
-  /// call for call, and each uniform position resolves to the identical
-  /// registry class (both pick the unique idx with cum(idx) ≤ pos <
-  /// cum(idx+1) in registry order) — so kFlat and kFenwick trajectories
-  /// are bit-identical per seed.  What changes is the machinery: classes
-  /// resolve by a branchless cumulative scan over a dense snapshot of the
-  /// counts (flat_counts_), draws are tallied in flat_drawn_, and the
-  /// registry's O(log q) Fenwick point updates are deferred to ONE
-  /// reconciliation per touched class at block end.  Per block:
-  /// O(q + L·q) flat arithmetic + O(q·log q) reconcile, vs the Fenwick
-  /// path's O(L·log q) pointer-chasing descents — the scan wins while q
-  /// stays within a few cache lines (q ≤ kFlatMaxStates ≈ 64).
-  void run_block_flat(std::uint64_t n, std::uint64_t L, bool collided) {
-    const std::uint32_t q = config_.num_states();
-    flat_counts_.assign(config_.counts().begin(), config_.counts().end());
-    if (flat_drawn_.size() < q) flat_drawn_.resize(q, 0);
-
-    // 2L collision-free agents, one per-draw sample each, consuming
-    // rng_.below(n - t) exactly like the Fenwick path.  config_ itself is
-    // NOT decremented here — the snapshot is; drawn classes reconcile once
-    // at block end.  New classes interned mid-block (δ outputs) have count
-    // zero in both views, so they are never drawable either way.
-    seq_.clear();
-    for (std::uint64_t t = 0; t < 2 * L; ++t) {
-      const std::uint32_t idx = flat_pick(rng_.below(n - t));
-      flat_counts_[idx] -= 1;
-      flat_drawn_[idx] += 1;
-      seq_.push_back(idx);
-    }
-    flat_draws_ += 2 * L;
-    for (std::uint64_t t = 0; t < L; ++t) {
-      const std::uint32_t ia = seq_[2 * t];
-      const std::uint32_t ib = seq_[2 * t + 1];
-      if constexpr (kDeterministicDelta<P>) {
-        const auto [oa, ob] = delta_outputs(ia, ib);
-        record_used_id(oa);
-        record_used_id(ob);
-      } else {
-        State& sa = assign_scratch(scratch_a_, ia);
-        State& sb = assign_scratch(scratch_b_, ib);
-        protocol_.interact(sa, sb, agent_rng_);
-        record_used_id(config_.index_near(sa, ia));
-        record_used_id(config_.index_near(sb, ib));
-      }
-    }
-
-    if (collided) {
-      const std::uint64_t used_total = 2 * L;
-      const std::uint64_t unused_total = n - used_total;
-      const auto [init_used, resp_used] =
-          pick_collision_sides(rng_, used_total, unused_total);
-
-      // flat_counts_ is exactly the unused multiset here (snapshot minus
-      // the 2L draws), so flat_pick replaces the Fenwick path's
-      // config_.sample_class over the decremented registry, position for
-      // position.
-      std::uint32_t ai, bi;
-      if (init_used) {
-        ai = draw_used_sparse(used_total);
-        if (resp_used) {
-          // Same pool: draw the responder without replacement.
-          used_[ai] -= 1;
-          bi = draw_used_sparse(used_total - 1);
-          used_[ai] += 1;
-        } else {
-          bi = flat_pick(rng_.below(unused_total));
-        }
-      } else {
-        ai = flat_pick(rng_.below(unused_total));
-        bi = draw_used_sparse(used_total);
-      }
-      flat_draws_ += (init_used ? 0 : 1) + ((resp_used || !init_used) ? 0 : 1);
-
-      if (init_used) {
-        used_[ai] -= 1;
-      } else {
-        flat_counts_[ai] -= 1;
-        flat_drawn_[ai] += 1;
-      }
-      if (resp_used) {
-        used_[bi] -= 1;
-      } else {
-        flat_counts_[bi] -= 1;
-        flat_drawn_[bi] += 1;
-      }
-      apply_collision(ai, bi);
-    }
-
-    // Reconcile: return the block's post-states (touched entries only),
-    // then charge each drawn class's total to the registry in one
-    // remove_at.  Adding before removing keeps every intermediate count
-    // non-negative without needing the two loops to visit classes in any
-    // particular order.
-    for (const std::uint32_t idx : touched_) {
-      if (used_[idx] > 0) config_.add_at(idx, used_[idx]);
-      used_[idx] = 0;
-    }
-    touched_.clear();
-    for (std::uint32_t i = 0; i < q; ++i) {
-      if (flat_drawn_[i] > 0) {
-        config_.remove_at(i, flat_drawn_[i]);
-        flat_drawn_[i] = 0;
-      }
-    }
-  }
-
-  /// The class containing uniform position `pos` of the flat snapshot:
-  /// the unique idx with cum(idx) ≤ pos < cum(idx+1) — the same class a
-  /// Fenwick descent over equal counts returns.  Branchless: one pass of
-  /// add + compare over a dense array the whole of which fits in a few
-  /// cache lines, no data-dependent branches for the predictor to miss.
-  std::uint32_t flat_pick(std::uint64_t pos) const {
-    std::uint32_t idx = 0;
-    std::uint64_t cum = 0;
-    for (const std::uint64_t c : flat_counts_) {
-      cum += c;
-      idx += static_cast<std::uint32_t>(cum <= pos);
-    }
-    return idx;
-  }
-
   /// Output ids of the interaction (ia, ib): memoized lookup when enabled,
   /// δ evaluation otherwise.  Deterministic protocols only.
   std::pair<std::uint32_t, std::uint32_t> delta_outputs(std::uint32_t ia,
@@ -917,9 +746,6 @@ class BatchedSimulator {
       if (used_.size() > config_.num_states()) {
         used_.resize(config_.num_states());
       }
-      if (flat_drawn_.size() > config_.num_states()) {
-        flat_drawn_.resize(config_.num_states());  // all-zero between blocks
-      }
       if constexpr (kDeterministicDelta<P>) {
         delta_cache_.clear();
         ++cache_clears_;
@@ -966,8 +792,6 @@ class BatchedSimulator {
   std::uint64_t interactions_ = 0;
   std::uint64_t dense_blocks_ = 0;
   std::uint64_t fenwick_blocks_ = 0;
-  std::uint64_t flat_blocks_ = 0;
-  std::uint64_t flat_draws_ = 0;        ///< flat-path per-draw samples
   std::uint64_t collisions_ = 0;        ///< colliding interactions resolved
   std::uint64_t community_draws_ = 0;   ///< community path: pairs drawn
 
@@ -997,8 +821,6 @@ class BatchedSimulator {
   std::vector<std::uint64_t> match_;  ///< per-initiator-state matching
   std::vector<std::uint32_t> seq_;      ///< Fenwick path: drawn classes, 2L
   std::vector<std::uint32_t> touched_;  ///< Fenwick path: used_ support
-  std::vector<std::uint64_t> flat_counts_;  ///< flat path: counts snapshot
-  std::vector<std::uint64_t> flat_drawn_;   ///< flat path: per-class draws
 };
 
 }  // namespace ssle::pp

@@ -17,8 +17,10 @@
 
 #include "analysis/measure.hpp"
 #include "baselines/cai_izumi_wada.hpp"
+#include "baselines/fight_leader.hpp"
 #include "baselines/loose_leader.hpp"
 #include "batched_elect.hpp"
+#include "core/adversary.hpp"
 #include "core/elect_leader.hpp"
 #include "core/params.hpp"
 #include "pp/epidemic.hpp"
@@ -350,14 +352,14 @@ TEST(FenwickPath, AutoHeuristicKeepsDenseForNarrowRegistries) {
 }
 
 // ---------------------------------------------------------------------------
-// kAuto golden digests.  Each run below took both per-draw and dense blocks
-// when recorded (CaiIzumiWada n = 64 on about half its blocks, the n = 1000
-// runs on 0.5–1.3 %), and those per-draw blocks were drawn by a
-// small-registry scan sampler that consumed the Fenwick path's RNG stream
-// exactly.  The digests pin the trajectories through that sampler's
-// removal: the Fenwick path must reproduce them bit for bit.  A digest
-// folds, after every chunk of n interactions, the configuration's sorted
-// (state key, count) pairs — registry id order does not enter it.
+// kAuto golden digests, recorded while a small-registry scan sampler still
+// drew kAuto's per-draw blocks at q ≤ 64 on the Fenwick path's exact RNG
+// stream.  Each run below takes Fenwick as well as dense blocks
+// (CaiIzumiWada n = 64 on about half its blocks, the n = 1000 runs on
+// 0.5–1.3 %), so the digests hold the Fenwick path to the trajectories the
+// scan drew.  A digest folds, after every chunk of n interactions, the
+// configuration's sorted (state key, count) pairs — registry id order does
+// not enter it.
 // ---------------------------------------------------------------------------
 
 std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t word) {
@@ -419,102 +421,59 @@ TEST(SamplerGolden, LooseLeaderN1000) {
 }
 
 // ---------------------------------------------------------------------------
-// Flat block sampler: by construction it consumes the same rng_.below(n−t)
-// draws as the Fenwick descent and resolves them to the same class (both
-// walk registry cumulative-count order), so forced kFlat and forced
-// kFenwick runs are BIT-IDENTICAL — not merely equal in law.  That identity
-// is the whole correctness argument for the flat path, so it is pinned
-// exactly, at several checkpoints, on a narrow and on a wide registry.
+// kAuto's per-block path choice, pinned per workload: a sampler stays only
+// while some workload takes it, so these record which one each workload
+// actually runs (the table in ROADMAP item 2).
 // ---------------------------------------------------------------------------
 
-TEST(FlatPath, BitIdenticalToFenwickOnEpidemic) {
-  Epidemic proto{256};
-  BatchedSimulator<Epidemic> flat(proto, 9, BlockSampling::kFlat);
-  BatchedSimulator<Epidemic> fenwick(proto, 9, BlockSampling::kFenwick);
-  for (int checkpoint = 0; checkpoint < 10; ++checkpoint) {
-    flat.step(500);
-    fenwick.step(500);
-    ASSERT_EQ(flat.config().count_of(1), fenwick.config().count_of(1))
-        << "checkpoint " << checkpoint;
-    ASSERT_EQ(flat.config().count_of(0), fenwick.config().count_of(0))
-        << "checkpoint " << checkpoint;
-  }
-  EXPECT_GT(flat.flat_blocks(), 0u);
-  EXPECT_EQ(flat.fenwick_blocks(), 0u);
-  EXPECT_EQ(fenwick.flat_blocks(), 0u);
-  EXPECT_GT(fenwick.fenwick_blocks(), 0u);
-  EXPECT_GT(flat.flat_scan_draws(), 0u);
-}
-
-TEST(FlatPath, BitIdenticalToFenwickOnARandomizedWideRegistry) {
-  // ElectLeader_r: randomized δ, interned Agent states, registry growth and
-  // collisions — the flat path must track the Fenwick path through all of
-  // it, including class ids created mid-block (count 0 in both views, so
-  // never drawable).
-  const core::Params params = core::Params::make(16, 4);
-  core::ElectLeader protocol(params);
-  BatchedSimulator<core::ElectLeader> flat(protocol, 5, BlockSampling::kFlat);
-  BatchedSimulator<core::ElectLeader> fenwick(protocol, 5,
-                                              BlockSampling::kFenwick);
-  for (int checkpoint = 0; checkpoint < 8; ++checkpoint) {
-    flat.step(250);
-    fenwick.step(250);
-    ASSERT_EQ(flat.config().num_live_states(),
-              fenwick.config().num_live_states())
-        << "checkpoint " << checkpoint;
-    flat.config().for_each([&](const core::Agent& s, std::uint64_t c) {
-      ASSERT_EQ(fenwick.config().count_of(s), c)
-          << "checkpoint " << checkpoint;
-    });
-  }
-  EXPECT_GT(flat.flat_blocks(), 0u);
-  EXPECT_GT(fenwick.fenwick_blocks(), 0u);
-}
-
-TEST(FlatPath, TinyPopulationLawMatchesNaive) {
-  // Same tiny-n TV pinning as the dense and Fenwick paths: the collision
-  // branch of the flat sampler (used/unused bookkeeping over the snapshot)
-  // must realize the same law the naive engine induces.
-  const std::uint32_t n = 4;
-  const int trials = 3000;
-  std::map<std::uint64_t, int> pmf_naive, pmf_flat;
-  for (int t = 0; t < trials; ++t) {
-    ++pmf_naive[epidemic_time_naive(n, 20000 + t)];
-    ++pmf_flat[epidemic_time_batched(n, 120000 + t, BlockSampling::kFlat)];
-  }
-  double tv = 0.0;
-  std::map<std::uint64_t, double> diff;
-  for (const auto& [k, c] : pmf_naive) diff[k] += static_cast<double>(c) / trials;
-  for (const auto& [k, c] : pmf_flat) diff[k] -= static_cast<double>(c) / trials;
-  for (const auto& [k, d] : diff) tv += std::abs(d);
-  tv /= 2.0;
-  EXPECT_LT(tv, 0.1) << "total variation distance " << tv;
-}
-
-TEST(FlatPath, AutoSubstitutesFlatExactlyWhereFenwickWouldRun) {
-  // kAuto picks flat exactly where it would have picked Fenwick AND the
-  // registry is narrow (q ≤ kFlatMaxStates).  DistinctIdentity at n = 48
-  // straddles the per-block boundary q > 2L·⌈log2 q⌉: short blocks take
-  // the per-draw (now flat) path, long blocks stay dense — and Fenwick
-  // never fires at q ≤ 64, because flat replaces it everywhere it would
-  // have run.
+TEST(AutoPathChoice, DistinctIdentityN48StraddlesFenwickAndDense) {
+  // q = 48 straddles the per-block boundary q > 2L·bit_width(q) = 12·L:
+  // blocks of L ≤ 3 take the Fenwick path, longer ones stay dense.
   DistinctIdentity proto{48};
   BatchedSimulator<DistinctIdentity> sim(proto, 23);
   sim.step(20000);
-  EXPECT_GT(sim.flat_blocks(), 0u);
+  EXPECT_GT(sim.fenwick_blocks(), 0u);
   EXPECT_GT(sim.dense_blocks(), 0u);
-  EXPECT_EQ(sim.fenwick_blocks(), 0u);
 }
 
-TEST(FlatPath, AutoKeepsDenseForBulkEligibleNarrowRegistries) {
-  // The epidemic's two live states make the dense bulk path unbeatable;
-  // kAuto must not reroute it through the flat scanner.
-  Epidemic proto{4096};
-  BatchedSimulator<Epidemic> sim(proto, 22);
-  sim.step(20000);
+TEST(AutoPathChoice, EpidemicAndFightLeaderRunDenseOnly) {
+  // Two live states: the dense bulk path is unbeatable at any n.
+  Epidemic epidemic{1000000};
+  BatchedSimulator<Epidemic> epi(epidemic, 1);
+  epi.step(20 * 1000000ull);
+  EXPECT_GT(epi.dense_blocks(), 0u);
+  EXPECT_EQ(epi.fenwick_blocks(), 0u);
+  for (const std::uint32_t n : {1000u, 100000u}) {
+    const baselines::FightLeaderElection fight(n);
+    BatchedSimulator<baselines::FightLeaderElection> sim(fight, 1);
+    sim.step(50ull * n);
+    EXPECT_GT(sim.dense_blocks(), 0u) << "n = " << n;
+    EXPECT_EQ(sim.fenwick_blocks(), 0u) << "n = " << n;
+  }
+}
+
+TEST(AutoPathChoice, ElectLeaderSafeStartRunsFenwick) {
+  // The soak's start: q = n = 500 distinct agents, blocks of L ≈ 20.
+  const core::Params params = core::Params::make(500, 8);
+  const core::ElectLeader protocol(params);
+  BatchedSimulator<core::ElectLeader> sim(
+      protocol, CountsConfiguration<core::ElectLeader>(
+                    core::make_safe_config(params)),
+      1);
+  sim.step(500ull * 500);
+  const std::uint64_t blocks = sim.fenwick_blocks() + sim.dense_blocks();
+  EXPECT_GE(1000 * sim.fenwick_blocks(), 999 * blocks)
+      << sim.fenwick_blocks() << " of " << blocks;
+}
+
+TEST(AutoPathChoice, CaiIzumiWadaN1000RunsBoth) {
+  // Ranks spread from a single class: dense while q is small, Fenwick on
+  // the short blocks once q passes 12·L or so.
+  const baselines::CaiIzumiWada proto(1000);
+  BatchedSimulator<baselines::CaiIzumiWada> sim(proto, 1);
+  sim.step(400ull * 1000);
+  EXPECT_GT(sim.fenwick_blocks(), 0u);
   EXPECT_GT(sim.dense_blocks(), 0u);
-  EXPECT_EQ(sim.flat_blocks(), 0u);
-  EXPECT_EQ(sim.fenwick_blocks(), 0u);
 }
 
 TEST(BatchedEquivalence, TinyPopulationLawMatches) {

@@ -167,32 +167,40 @@ TEST(EngineMetrics, ToJsonCarriesEngineAndCounters) {
 }
 
 TEST(EngineMetrics, ToJsonCarriesFlatCounters) {
+  // blocks_flat outlived the flat block sampler as an always-0 field (the
+  // benchmark still sums it); the live block counters are dense/Fenwick.
   pp::Epidemic proto{64};
-  pp::BatchedSimulator<pp::Epidemic> sim(proto, 1, pp::BlockSampling::kFlat);
-  sim.step(500);
-  const obs::EngineMetrics m = sim.metrics();
-  EXPECT_GT(m.blocks_flat, 0u);
-  const std::string line = m.to_json().dump_line();
-  EXPECT_NE(line.find("\"blocks_flat\":"), std::string::npos);
-  EXPECT_NE(line.find("\"flat_scan_draws\":"), std::string::npos);
+  pp::BatchedSimulator<pp::Epidemic> dense(proto, 1, pp::BlockSampling::kDense);
+  pp::BatchedSimulator<pp::Epidemic> fenwick(proto, 1,
+                                             pp::BlockSampling::kFenwick);
+  dense.step(500);
+  fenwick.step(500);
+  EXPECT_GT(dense.metrics().blocks_dense, 0u);
+  EXPECT_GT(fenwick.metrics().blocks_fenwick, 0u);
+  EXPECT_GT(fenwick.metrics().fenwick_samples, 0u);
+  const std::string line = fenwick.metrics().to_json().dump_line();
+  EXPECT_NE(line.find("\"blocks_dense\":0"), std::string::npos);
+  EXPECT_NE(line.find("\"blocks_fenwick\":"), std::string::npos);
+  EXPECT_NE(line.find("\"fenwick_samples\":"), std::string::npos);
+  EXPECT_NE(line.find("\"blocks_flat\":0"), std::string::npos);
   // Schema version 2 removed the multi-shard engine's fields; 3 added the
-  // leap window counters.
-  EXPECT_EQ(obs::kMetricsSchemaVersion, 3);
+  // leap window counters; 4 removed the flat sampler's scan-draw counter.
+  EXPECT_EQ(obs::kMetricsSchemaVersion, 4);
   EXPECT_EQ(line.find("shard"), std::string::npos);
+  EXPECT_EQ(line.find("scan_draws"), std::string::npos);
 }
 
 TEST(EngineMetrics, MergeSumsCountersAndTakesTheDepthMax) {
   obs::EngineMetrics a;
   a.engine = "batched";
   a.interactions = 100;
-  a.blocks_flat = 3;
-  a.flat_scan_draws = 40;
+  a.blocks_fenwick = 3;
   a.delta_cache_hits = 7;
   a.split_depth_max = 2;
   obs::EngineMetrics b;
   b.engine = "leaping";
   b.interactions = 11;
-  b.blocks_flat = 1;
+  b.blocks_fenwick = 1;
   b.fenwick_samples = 5;
   b.split_depth_max = 6;
 
@@ -200,8 +208,7 @@ TEST(EngineMetrics, MergeSumsCountersAndTakesTheDepthMax) {
   m.merge(b);
   EXPECT_STREQ(m.engine, "batched");  // lhs label wins when set
   EXPECT_EQ(m.interactions, 111u);
-  EXPECT_EQ(m.blocks_flat, 4u);
-  EXPECT_EQ(m.flat_scan_draws, 40u);
+  EXPECT_EQ(m.blocks_fenwick, 4u);
   EXPECT_EQ(m.delta_cache_hits, 7u);
   EXPECT_EQ(m.fenwick_samples, 5u);
   EXPECT_EQ(m.split_depth_max, 6u);  // max, not sum
