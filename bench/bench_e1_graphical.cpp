@@ -12,12 +12,11 @@
 //       computing comparison point (one immortal leader, no
 //       self-stabilization), whose runtime is exactly an epidemic of the
 //       max identifier.
-//   §3  Structured topologies at scale: the lumped (community, state)
-//       engine runs blocked topologies (islands:K, multipartite:K) at
-//       n = 10^6 — far beyond any materialized edge list (an islands edge
-//       list at that n holds ~5·10^11 edges) — next to the naive
-//       BlockedScheduler engine at comparison scale.  Same law (pinned by
-//       tests/test_community_counts.cpp), disjoint feasibility ranges.
+//   §3  Structured topologies: the naive BlockedScheduler engine runs
+//       blocked topologies (islands:K, multipartite:K) at --ncmp agents
+//       without materializing an edge list (an islands edge list at
+//       n = 10^6 holds ~5·10^11 edges); tests/test_topology.cpp pins its
+//       pair law.
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -129,14 +128,9 @@ int main(int argc, char** argv) {
   const auto jobs = cli.get_jobs();
   const auto trials = cli.get_count("trials", 3);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 120));
-  // §3 knobs: the at-scale population for the lumped engine, the
-  // comparison population for the naive BlockedScheduler engine, and an
-  // optional single --topology / --engine restriction (the CI smoke runs
-  // --topology=islands:4 --engine=batched --nbig=100000).
-  const auto nbig = cli.get_count("nbig", 1000000);
+  // §3 knobs: the population for the naive BlockedScheduler engine and an
+  // optional single --topology restriction.
   const auto ncmp = cli.get_count_u32("ncmp", 20000);
-  const auto engine_big =
-      analysis::engine_from_string(cli.get_string("engine", "batched"));
   const bool one_topology = cli.has("topology");
   const auto topology_spec = cli.get_string("topology", "islands:4");
   const auto json_path = cli.get_string("json", "");
@@ -152,7 +146,7 @@ int main(int argc, char** argv) {
       "Population protocols transfer to communication graphs with runtime "
       "governed by graph properties (conductance)",
       "epidemic + stabilization: complete ≈ expander ≪ ER ≪ cycle/path; "
-      "blocked topologies scale to n=10^6 on the lumped engine");
+      "blocked topologies keep the epidemic near n ln n");
 
   util::Rng graph_rng(seed);
   std::vector<std::pair<std::string, pp::Graph>> graphs;
@@ -241,64 +235,44 @@ int main(int argc, char** argv) {
                "arrive well before the maximum has spread everywhere "
                "(visible on the ring).\n";
 
-  // --- §3: blocked topologies at scale (the lumped engine) ----------------
-  // Each topology runs on the naive BlockedScheduler engine at comparison
-  // scale and on the lumped (community, state) engine at --nbig.  The
-  // lumped rows are the point: n = 10^6 with K communities costs O(K·q)
+  // --- §3: blocked topologies (the naive BlockedScheduler engine) ---------
+  // Each topology runs the epidemic at --ncmp agents: O(K²) scheduler
   // memory, no edge list, exact law.
-  std::cout << "\n-- blocked topologies at scale --\n";
+  std::cout << "\n-- blocked topologies --\n";
   std::vector<std::string> specs;
   if (one_topology) {
     specs.push_back(topology_spec);
   } else {
     specs = {"islands:4", "multipartite:4"};
   }
-  util::Table big({"topology", "engine", "n", "interactions", "/(n ln n)",
-                   "wall_s"});
+  util::Table blocked({"topology", "n", "interactions", "/(n ln n)", "wall_s"});
   auto scale_rows = util::Json::array();
   for (const std::string& spec : specs) {
-    const auto topology = analysis::topology_from_string(spec);
-    struct Row {
-      analysis::Engine engine;
-      std::uint64_t n;
-    };
-    const std::vector<Row> rows = {{analysis::Engine::kNaive, ncmp},
-                                   {engine_big, nbig}};
-    for (const auto& row : rows) {
-      const auto t0 = Clock::now();
-      const auto res = analysis::epidemic_convergence(row.engine, row.n,
-                                                      seed + 13, 0, 0,
-                                                      topology);
-      const double wall = seconds_since(t0);
-      const double nlogn =
-          static_cast<double>(row.n) * std::log(static_cast<double>(row.n));
-      big.add_row({spec, analysis::engine_name(row.engine),
-                   util::fmt_int(static_cast<long long>(row.n)),
-                   res.converged
-                       ? util::fmt_int(static_cast<long long>(res.interactions))
-                       : "-",
-                   res.converged
-                       ? util::fmt(static_cast<double>(res.interactions) /
-                                       nlogn,
-                                   2)
-                       : "-",
-                   util::fmt(wall, 2)});
-      auto jrow = util::Json::object();
-      jrow.set("topology", spec);
-      jrow.set("engine", analysis::engine_name(row.engine));
-      jrow.set("n", row.n);
-      jrow.set("converged", res.converged);
-      jrow.set("interactions", res.interactions);
-      jrow.set("wall_s", wall);
-      scale_rows.push(std::move(jrow));
-    }
+    const auto t0 = Clock::now();
+    const auto res = analysis::epidemic_convergence(
+        analysis::Engine::kNaive, ncmp, seed + 13, 0, 0,
+        analysis::topology_from_string(spec));
+    const double wall = seconds_since(t0);
+    const double nlogn =
+        static_cast<double>(ncmp) * std::log(static_cast<double>(ncmp));
+    const auto t = static_cast<double>(res.interactions);
+    blocked.add_row(
+        {spec, util::fmt_int(static_cast<long long>(ncmp)),
+         res.converged ? util::fmt_int(static_cast<long long>(t)) : "-",
+         res.converged ? util::fmt(t / nlogn, 2) : "-", util::fmt(wall, 2)});
+    auto jrow = util::Json::object();
+    jrow.set("topology", spec);
+    jrow.set("engine", analysis::engine_name(analysis::Engine::kNaive));
+    jrow.set("n", static_cast<std::uint64_t>(ncmp));
+    jrow.set("converged", res.converged);
+    jrow.set("interactions", res.interactions);
+    jrow.set("wall_s", wall);
+    scale_rows.push(std::move(jrow));
   }
-  big.print(std::cout);
-  big.print_csv(std::cout);
+  blocked.print(std::cout);
+  blocked.print_csv(std::cout);
   std::cout << "Blocked topologies keep the epidemic within a constant of "
-               "n ln n while the cut weight stays bounded; the lumped "
-               "engine is the only exact engine at n beyond edge-list "
-               "feasibility.\n";
+               "n ln n while the cut weight stays bounded.\n";
   report.section("blocked_scale", std::move(scale_rows));
   report.write_if(json_path, std::cout);
   return 0;

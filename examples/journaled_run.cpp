@@ -17,6 +17,9 @@
 //                                    (default n — one event per probe grid
 //                                    step at most)
 //   --topology=complete|islands:K[:intra:inter]|multipartite:K|ring
+//                                    (any topology but complete runs on the
+//                                    naive engine; a batched or leaping
+//                                    request reroutes with a stderr note)
 #include <cstdint>
 #include <iostream>
 

@@ -11,7 +11,6 @@
 #include "core/safety.hpp"
 #include "obs/journal.hpp"
 #include "pp/batched_simulator.hpp"
-#include "pp/community_counts.hpp"
 #include "pp/epidemic.hpp"
 #include "pp/graph.hpp"
 #include "pp/leaping_simulator.hpp"
@@ -72,19 +71,15 @@ std::vector<core::Agent> clean_config(const core::Params& params) {
   return config;
 }
 
-/// Engine routing for a topology request: the ring has no community
-/// lumping (each agent's neighborhood is private to it), so the counts
-/// engines reroute to naive with a loud note — the runtime analogue of the
-/// old compile-time static_assert, but survivable.
-Engine route_topology_engine(Engine engine, const Topology& topology) {
-  if (topology.kind == Topology::Kind::kRing && engine != Engine::kNaive) {
-    std::fprintf(stderr,
-                 "note: topology '%s' has no lumped configuration; routing "
-                 "--engine=%s to the naive agent-array engine\n",
-                 topology_name(topology), engine_name(engine));
-    return Engine::kNaive;
+/// The pp::BlockedTopology of an islands or multipartite topology at
+/// population size n (exits 2 when n is too small for K communities).
+pp::BlockedTopology blocked_topology(const Topology& topology,
+                                     std::uint64_t n) {
+  if (topology.kind == Topology::Kind::kMultipartite) {
+    return pp::BlockedTopology::multipartite(n, topology.communities);
   }
-  return engine;
+  return pp::BlockedTopology::islands(n, topology.communities, topology.intra,
+                                      topology.inter);
 }
 
 /// The hard S1 error: an engine/topology/size combination NO engine can
@@ -347,38 +342,6 @@ const char* topology_name(const Topology& topology) {
   return topology.spec.c_str();
 }
 
-bool topology_is_lumpable(const Topology& topology) {
-  switch (topology.kind) {
-    case Topology::Kind::kComplete:
-    case Topology::Kind::kIslands:
-    case Topology::Kind::kMultipartite:
-      return true;
-    case Topology::Kind::kRing:
-      return false;
-  }
-  return false;
-}
-
-pp::BlockedTopology blocked_topology(const Topology& topology,
-                                     std::uint64_t n) {
-  switch (topology.kind) {
-    case Topology::Kind::kComplete:
-      return pp::BlockedTopology::complete(n);
-    case Topology::Kind::kIslands:
-      return pp::BlockedTopology::islands(n, topology.communities,
-                                          topology.intra, topology.inter);
-    case Topology::Kind::kMultipartite:
-      return pp::BlockedTopology::multipartite(n, topology.communities);
-    case Topology::Kind::kRing:
-      break;
-  }
-  std::fprintf(stderr,
-               "error: topology '%s' is not blocked — it has no lumped "
-               "(community, state) configuration\n",
-               topology_name(topology));
-  std::exit(2);
-}
-
 namespace {
 
 std::uint64_t epidemic_budget(std::uint64_t n) {
@@ -455,15 +418,23 @@ pp::RunResult epidemic_convergence(Engine engine, std::uint64_t n,
     }
     return {0, false};
   }
-  engine = route_topology_engine(engine, topology);
+  // The counts engines simulate the uniform scheduler only, so every other
+  // topology runs on the naive engine: a batched/leaping request reroutes
+  // with a loud note.
+  if (n > 0xffffffffull) {
+    no_engine_for_topology(topology, n,
+                           "only the naive engine runs non-complete "
+                           "topologies, and it materializes n agents "
+                           "(uint32 limit)");
+  }
+  if (engine != Engine::kNaive) {
+    std::fprintf(stderr,
+                 "note: topology '%s' has no lumped configuration; routing "
+                 "--engine=%s to the naive agent-array engine\n",
+                 topology_name(topology), engine_name(engine));
+  }
 
   if (topology.kind == Topology::Kind::kRing) {
-    if (n > 0xffffffffull) {
-      no_engine_for_topology(topology, n,
-                             "the ring has no lumped configuration and the "
-                             "naive engine materializes n agents (uint32 "
-                             "limit)");
-    }
     if (max_interactions == 0) {
       // The cycle spreads by boundary contact: Θ(n²) interactions.
       const long double b = 16.0L * static_cast<long double>(n) *
@@ -483,33 +454,11 @@ pp::RunResult epidemic_convergence(Engine engine, std::uint64_t n,
   // spreading must cross the (possibly low-weight) inter-community cut,
   // but each crossing is a one-time event against a Θ(n log n) backbone.
   if (max_interactions == 0) max_interactions = 8 * epidemic_budget(n);
-  pp::BlockedTopology blocked = blocked_topology(topology, n);
-  if (engine == Engine::kNaive) {
-    if (n > 0xffffffffull) {
-      no_engine_for_topology(topology, n,
-                             "the naive engine materializes n agents "
-                             "(uint32 limit); use --engine=batched — the "
-                             "lumped (community, state) engine holds O(K·q) "
-                             "counters");
-    }
-    pp::Simulator<pp::Epidemic, pp::BlockedScheduler> sim(
-        protocol, pp::Population<pp::Epidemic>(protocol),
-        pp::BlockedScheduler(std::move(blocked), util::substream(seed, 1)),
-        seed);
-    return run_to_infection(sim);
-  }
-  // kBatched / kLeaping: the lumped engine.  The configuration is built in
-  // O(K) — {1 infected in community 0 (agent 0 lives there), the rest
-  // susceptible} — never an O(n) agent loop.
-  pp::CommunityCountsConfiguration<pp::Epidemic> counts(blocked);
-  counts.add_in(0, 1, 1);
-  for (std::uint32_t c = 0; c < blocked.communities(); ++c) {
-    const std::uint64_t susceptible = blocked.size(c) - (c == 0 ? 1 : 0);
-    if (susceptible > 0) counts.add_in(c, 0, susceptible);
-  }
-  pp::BatchedSimulator<pp::Epidemic,
-                       pp::CommunityCountsConfiguration<pp::Epidemic>>
-      sim(protocol, std::move(counts), seed);
+  pp::Simulator<pp::Epidemic, pp::BlockedScheduler> sim(
+      protocol, pp::Population<pp::Epidemic>(protocol),
+      pp::BlockedScheduler(blocked_topology(topology, n),
+                           util::substream(seed, 1)),
+      seed);
   return run_to_infection(sim);
 }
 

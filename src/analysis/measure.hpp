@@ -22,7 +22,6 @@
 #include "core/elect_leader.hpp"
 #include "core/params.hpp"
 #include "obs/metrics.hpp"
-#include "pp/graph.hpp"
 #include "pp/simulator.hpp"
 
 namespace ssle::obs {
@@ -56,9 +55,8 @@ struct ProbeOptions {
 };
 
 /// Which simulation engine a measurement should run on.
-/// Graph-restricted workloads (pp::GraphScheduler) are naive-only by
-/// design — pp::BatchedSimulator enforces that with a static_assert on
-/// its scheduler type.
+/// The counts engines simulate the uniform scheduler only, so every
+/// non-complete Topology runs on the naive engine (see Topology).
 ///
 /// kLeaping selects pp::LeapingSimulator where the workload is eligible
 /// (deterministic δ AND a narrow registry, pp::LeapEligible).
@@ -74,27 +72,22 @@ enum class Engine { kNaive, kBatched, kLeaping };
 /// arbitrary starts).
 enum class StartKind { kClean, kAdversarial };
 
-/// Which interaction topology a measurement runs on.  stabilize() runs every
-/// kind on the naive engine under the matching scheduler; the Engine ×
-/// Topology dispatch in epidemic_convergence() routes each combination to
-/// an engine that simulates it *exactly*:
+/// Which interaction topology a measurement runs on.  Every kind runs on
+/// the naive engine under the matching scheduler; only kComplete also runs
+/// on the counts engines:
 ///
 ///   * kComplete      — the classical model; every engine, unchanged paths.
 ///   * kIslands       — K cliques (intra weight) bridged all-to-all (inter
-///                      weight); blocked (pp::BlockedTopology), so naive
-///                      runs pp::BlockedScheduler and batched/leaping run
-///                      the lumped (community, state) engine
-///                      (pp::CommunityCountsConfiguration) — the only
-///                      engine for it beyond naive-feasible n.
-///   * kMultipartite  — complete K-partite (inter edges only); blocked,
-///                      same routing as islands.
-///   * kRing          — the cycle graph: NOT blocked (no community lumping
-///                      exists — each agent's neighborhood is private), so
-///                      only the naive agent-array engine is exact.  A
-///                      batched/leaping request routes to naive with a loud
-///                      stderr note; population sizes beyond the naive
-///                      engine's uint32 limit are a hard error naming the
-///                      topology, because no engine supports that point.
+///                      weight): pp::BlockedScheduler over a
+///                      pp::BlockedTopology.
+///   * kMultipartite  — complete K-partite (inter edges only): same
+///                      scheduler as islands.
+///   * kRing          — the cycle graph: pp::GraphScheduler.
+///
+/// epidemic_convergence() reroutes a batched/leaping request on any
+/// non-complete topology to naive with a loud stderr note; population
+/// sizes beyond the naive engine's uint32 limit are a hard error naming
+/// the topology, because no engine supports that point.
 struct Topology {
   enum class Kind { kComplete, kIslands, kMultipartite, kRing };
   Kind kind = Kind::kComplete;
@@ -107,20 +100,10 @@ struct Topology {
 /// Parses a `--topology=` CLI value:
 ///   complete | ring | islands:K | islands:K:intra:inter | multipartite:K
 /// Exits with a clear error on anything else (K and the weights are
-/// validated here; sizes are validated against n by blocked_topology).
+/// validated here; sizes are validated against n when a run builds the
+/// pp::BlockedTopology).
 Topology topology_from_string(const std::string& spec);
 const char* topology_name(const Topology& topology);
-
-/// True when the topology admits the (community, state) lumping — i.e. the
-/// counts engines can run it exactly (pp::LumpableTopology is the engine-
-/// side concept; this is the analysis-side routing predicate).
-bool topology_is_lumpable(const Topology& topology);
-
-/// The pp::BlockedTopology descriptor for a lumpable topology at
-/// population size n (exits with a clear error when n is too small for K
-/// communities).  Must not be called for kRing — the ring is not blocked.
-pp::BlockedTopology blocked_topology(const Topology& topology,
-                                     std::uint64_t n);
 
 /// Parses a `--engine=` CLI value ("naive" | "batched" | "leaping"); exits
 /// with a clear error on anything else.
@@ -186,16 +169,15 @@ std::uint64_t default_budget(const core::Params& params);
 /// and topology.  Returns the raw RunResult (interactions at the first
 /// probe where infection is total).  `n` is 64-bit — the leap engine runs
 /// this at n = 10^10, beyond the uint32 population sizes of the agent-array
-/// engines — so the counts configurations are built directly from
-/// {1 infected, n−1 susceptible} (O(1) on the complete graph, O(K) on a
-/// blocked topology — an islands edge list at n = 10^6 would hold ~5·10^11
-/// edges), never an O(n) agent loop.  The naive engine materializes n
-/// agents and is rejected (exit 2) above uint32.
+/// engine — so the counts configurations are built directly from
+/// {1 infected, n−1 susceptible} in O(1), never an O(n) agent loop.  The
+/// naive engine materializes n agents and is rejected (exit 2) above
+/// uint32.
 ///
-/// Topology routing: blocked topologies run naive → BlockedScheduler and
-/// batched/leaping → the lumped community engine; kRing runs the cycle
-/// graph on the naive engine (batched/leaping reroute loudly; n beyond
-/// uint32 is a hard error naming the topology).
+/// Topology routing: every non-complete topology runs on the naive engine
+/// (pp::BlockedScheduler for islands/multipartite, pp::GraphScheduler over
+/// the cycle for kRing); batched/leaping requests reroute loudly, and n
+/// beyond uint32 is a hard error naming the topology.
 ///
 /// `max_interactions` of 0 means the default budget: 64 · n · ⌈log2 n⌉ on
 /// the complete graph, 8× that on a blocked topology (crossing sparse

@@ -14,7 +14,6 @@ EngineMetrics& EngineMetrics::merge(const EngineMetrics& other) {
   blocks_fenwick += other.blocks_fenwick;
   blocks_flat += other.blocks_flat;
   collision_resolutions += other.collision_resolutions;
-  community_pair_draws += other.community_pair_draws;
   fenwick_point_updates += other.fenwick_point_updates;
   fenwick_samples += other.fenwick_samples;
   registry_live_states += other.registry_live_states;
@@ -47,7 +46,6 @@ util::Json EngineMetrics::to_json() const {
   j.set("blocks_fenwick", blocks_fenwick);
   j.set("blocks_flat", blocks_flat);
   j.set("collision_resolutions", collision_resolutions);
-  j.set("community_pair_draws", community_pair_draws);
   j.set("fenwick_point_updates", fenwick_point_updates);
   j.set("fenwick_samples", fenwick_samples);
   j.set("registry_live_states", registry_live_states);

@@ -20,8 +20,6 @@
 //   * interactions_iterated + interactions_leapt == interactions on every
 //     engine (iterated = executed one at a time or inside a block;
 //     leapt = consumed without iteration — leaping engine only);
-//   * on the community path, community_pair_draws == interactions (every
-//     interaction draws exactly one ordered community pair);
 //   * delta_cache_misses ≥ delta_cache_entries, with equality while
 //     delta_cache_clears == 0 (every miss inserts one entry).
 #pragma once
@@ -33,7 +31,7 @@
 namespace ssle::obs {
 
 struct EngineMetrics {
-  /// Producing engine: "naive", "batched", "batched-community", "leaping".
+  /// Producing engine: "naive", "batched", "leaping".
   const char* engine = "";
 
   // --- population ------------------------------------------------------
@@ -56,7 +54,6 @@ struct EngineMetrics {
   /// a change to the benchmark can drop it.
   std::uint64_t blocks_flat = 0;
   std::uint64_t collision_resolutions = 0;  ///< colliding interactions resolved
-  std::uint64_t community_pair_draws = 0;   ///< ordered community pairs drawn
 
   // --- counts registry (Fenwick + interner) ----------------------------
   std::uint64_t fenwick_point_updates = 0;  ///< tree_add/tree_sub calls
@@ -104,7 +101,8 @@ struct EngineMetrics {
 
 /// Version of the EngineMetrics JSON field set.  Bump when fields are
 /// renamed, removed or added.  3 added leap_marginals and leap_cap_max;
-/// 4 removed the flat sampler's scan-draw counter.
-inline constexpr int kMetricsSchemaVersion = 4;
+/// 4 removed the flat sampler's scan-draw counter; 5 removed the
+/// batched engine's community-path pair-draw counter.
+inline constexpr int kMetricsSchemaVersion = 5;
 
 }  // namespace ssle::obs

@@ -60,7 +60,10 @@
 //
 // The API mirrors Simulator (`step`, `run_until`, RunResult, probe
 // semantics); predicates observe the CountsConfiguration instead of the
-// Population.
+// Population.  The block law assumes every ordered pair is equally likely,
+// so the engine simulates the uniform scheduler only: graphs and blocked
+// topologies run on the naive Simulator, where analysis::epidemic_convergence
+// routes them (analysis/measure.hpp).
 #pragma once
 
 #include <algorithm>
@@ -204,45 +207,11 @@ class BlockLengthSampler {
   std::uint64_t built_for_ = 0;       ///< the n the table was built for
 };
 
-/// A configuration the batched engine can advance *exactly*: a counts
-/// projection that is itself a Markov chain (a lumping of the agent-level
-/// process).  Two families qualify — `CountsConfiguration` (uniform
-/// scheduling: every ordered pair equally likely; `kUniformPairs = true`,
-/// the birthday-block machinery applies) and `CommunityCountsConfiguration`
-/// (blocked topologies lifted to (community, state) counts; the engine
-/// takes its exact per-interaction community path).  Arbitrary graphs do
-/// NOT qualify — their counts projection is not Markov — and must run on
-/// the naive pp::Simulator; analysis::epidemic_convergence routes them
-/// there at runtime (analysis/measure.hpp) instead of surfacing this
-/// concept's compile-time wall to end users.
-template <typename C, typename P>
-concept LumpableTopology =
-    Protocol<P> &&
-    requires(C& c, const C& cc, std::uint32_t id, std::uint64_t k,
-             const typename P::State& s) {
-      { C::kUniformPairs } -> std::convertible_to<bool>;
-      { cc.population_size() } -> std::convertible_to<std::uint64_t>;
-      { cc.num_states() } -> std::convertible_to<std::uint32_t>;
-      { cc.num_allocated_states() } -> std::convertible_to<std::uint32_t>;
-      { cc.num_live_states() } -> std::convertible_to<std::uint32_t>;
-      { cc.count(id) } -> std::convertible_to<std::uint64_t>;
-      { cc.registry_version() } -> std::convertible_to<std::uint64_t>;
-      { cc.fenwick_updates() } -> std::convertible_to<std::uint64_t>;
-      { cc.fenwick_samples() } -> std::convertible_to<std::uint64_t>;
-      { cc.compactions() } -> std::convertible_to<std::uint64_t>;
-      { cc.state(id) } -> std::convertible_to<const typename P::State&>;
-      { c.index_near(s, id) } -> std::convertible_to<std::uint32_t>;
-      c.add_at(id, k);
-      c.remove_at(id, k);
-      c.compact();
-    };
-
-template <Protocol P, typename ConfigT = CountsConfiguration<P>>
-  requires LumpableTopology<ConfigT, P>
+template <Protocol P>
 class BatchedSimulator {
  public:
   using State = typename P::State;
-  using Config = ConfigT;
+  using Config = CountsConfiguration<P>;
   using Predicate =
       std::function<bool(const Config&, std::uint64_t /*interactions*/)>;
 
@@ -267,30 +236,14 @@ class BatchedSimulator {
   /// (left by churn: the constructor requires n >= 2) no pair exists and
   /// no interaction can change the configuration; steps are counted (so
   /// run_until terminates) but are no-ops.
-  ///
-  /// Uniform configurations advance in collision-free blocks.  Community
-  /// configurations advance one exact interaction at a time: the birthday
-  /// survival law behind the block machinery assumes every ordered pair is
-  /// equally likely, whereas under community weighting the collision
-  /// probability at in-block step t depends on *which* communities the
-  /// first t pairs hit — a trajectory-dependent quantity no precomputed
-  /// table captures.  The per-interaction path still runs entirely in
-  /// (community, state) id space with the shared δ-cache/scratch
-  /// machinery, so it is O(log q + q_c) per interaction independent of n —
-  /// the lumping is what buys feasibility at n = 10^6+, not blocking.
   void step(std::uint64_t count = 1) {
     if (config_.population_size() < 2) {
       interactions_ += count;
       return;
     }
-    if constexpr (Config::kUniformPairs) {
-      std::uint64_t done = 0;
-      while (done < count) {
-        done += run_block(count - done);
-        maybe_compact();
-      }
-    } else {
-      for (std::uint64_t t = 0; t < count; ++t) step_community();
+    std::uint64_t done = 0;
+    while (done < count) {
+      done += run_block(count - done);
       maybe_compact();
     }
     interactions_ += count;
@@ -337,24 +290,20 @@ class BatchedSimulator {
   /// while the memoized path was active).
   std::uint64_t delta_cache_clears() const { return cache_clears_; }
 
-  /// Colliding interactions resolved individually (block path), and
-  /// ordered community pairs drawn (community path; equals interactions()
-  /// there — every interaction draws exactly one pair when n ≥ 2).
+  /// Colliding interactions resolved individually.
   std::uint64_t collision_resolutions() const { return collisions_; }
-  std::uint64_t community_pair_draws() const { return community_draws_; }
 
   /// Uniform engine-metrics snapshot (obs/metrics.hpp): the engine's own
   /// counters plus the registry's.  O(1) — counters are always on.
   obs::EngineMetrics metrics() const {
     obs::EngineMetrics m;
-    m.engine = Config::kUniformPairs ? "batched" : "batched-community";
+    m.engine = "batched";
     m.population = config_.population_size();
     m.interactions = interactions_;
     m.interactions_iterated = interactions_;
     m.blocks_dense = dense_blocks_;
     m.blocks_fenwick = fenwick_blocks_;
     m.collision_resolutions = collisions_;
-    m.community_pair_draws = community_draws_;
     m.fenwick_point_updates = config_.fenwick_updates();
     m.fenwick_samples = config_.fenwick_samples();
     m.registry_live_states = config_.num_live_states();
@@ -386,11 +335,8 @@ class BatchedSimulator {
   /// Rebuilds the registry into canonical dense-id form and drops every
   /// id-keyed cache (δ-memo, block scratch).  O(q).  The counts multiset —
   /// and hence the law — is unchanged; only id labels move, exactly as the
-  /// restorer will lay them out.  Uniform configurations only (the
-  /// community lifting checkpoints are not supported).
-  void canonicalize()
-    requires Config::kUniformPairs
-  {
+  /// restorer will lay them out.
+  void canonicalize() {
     Config fresh{std::vector<State>{}};
     config_.for_each(
         [&](const State& s, std::uint64_t c) { fresh.add(s, c); });
@@ -418,27 +364,6 @@ class BatchedSimulator {
   void set_interactions(std::uint64_t t) { interactions_ = t; }
 
  private:
-  /// One exact interaction of the community-weighted pair law
-  /// (pp/graph.hpp): ordered community pair (a, b) from the closed-form
-  /// edge-weight table, then a uniform agent (≡ count-proportional class)
-  /// draw within each community — removing the initiator before the
-  /// responder draw makes the a = b case without-replacement
-  /// automatically.  δ application reuses the block engine's collision
-  /// machinery (memoized id-space transitions, hinted re-interning).
-  void step_community()
-    requires(!Config::kUniformPairs)
-  {
-    ++community_draws_;
-    const auto [a, b] = config_.sample_community_pair(rng_);
-    const std::uint32_t ia =
-        config_.sample_class_in(a, rng_.below(config_.community_size(a)));
-    config_.remove_at(ia, 1);
-    const std::uint32_t ib =
-        config_.sample_class_in(b, rng_.below(config_.community_size(b)));
-    config_.remove_at(ib, 1);
-    apply_collision(ia, ib);
-  }
-
   /// Runs one block of at most `cap` interactions; returns how many ran.
   std::uint64_t run_block(std::uint64_t cap) {
     const std::uint64_t n = config_.population_size();
@@ -576,8 +501,8 @@ class BatchedSimulator {
         State& sa = assign_scratch(scratch_a_, ia);
         State& sb = assign_scratch(scratch_b_, ib);
         protocol_.interact(sa, sb, agent_rng_);
-        record_used_id(config_.index_near(sa, ia));
-        record_used_id(config_.index_near(sb, ib));
+        record_used_id(config_.index_of(sa, ia));
+        record_used_id(config_.index_of(sb, ib));
       }
     }
 
@@ -648,8 +573,8 @@ class BatchedSimulator {
     State& sa = assign_scratch(scratch_a_, ia);
     State& sb = assign_scratch(scratch_b_, ib);
     protocol_.interact(sa, sb, agent_rng_);
-    const std::uint32_t oa = config_.index_near(sa, ia);
-    const std::uint32_t ob = config_.index_near(sb, ib);
+    const std::uint32_t oa = config_.index_of(sa, ia);
+    const std::uint32_t ob = config_.index_of(sb, ib);
     return {oa, ob};
   }
 
@@ -666,8 +591,8 @@ class BatchedSimulator {
       State& sa = assign_scratch(scratch_a_, ai);
       State& sb = assign_scratch(scratch_b_, bi);
       protocol_.interact(sa, sb, agent_rng_);
-      config_.add_at(config_.index_near(sa, ai), 1);
-      config_.add_at(config_.index_near(sb, bi), 1);
+      config_.add_at(config_.index_of(sa, ai), 1);
+      config_.add_at(config_.index_of(sb, bi), 1);
     }
   }
 
@@ -726,8 +651,8 @@ class BatchedSimulator {
         State& sa = assign_scratch(scratch_a_, *proto_a_);
         State& sb = assign_scratch(scratch_b_, *proto_b_);
         protocol_.interact(sa, sb, agent_rng_);
-        record_output_id(config_.index_near(sa, a), 1);
-        record_output_id(config_.index_near(sb, b), 1);
+        record_output_id(config_.index_of(sa, a), 1);
+        record_output_id(config_.index_of(sb, b), 1);
       }
     }
   }
@@ -792,8 +717,7 @@ class BatchedSimulator {
   std::uint64_t interactions_ = 0;
   std::uint64_t dense_blocks_ = 0;
   std::uint64_t fenwick_blocks_ = 0;
-  std::uint64_t collisions_ = 0;        ///< colliding interactions resolved
-  std::uint64_t community_draws_ = 0;   ///< community path: pairs drawn
+  std::uint64_t collisions_ = 0;  ///< colliding interactions resolved
 
   DeltaCache delta_cache_;  ///< (id, id) → (id, id), deterministic δ only
   std::uint64_t cache_hits_ = 0;

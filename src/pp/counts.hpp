@@ -3,14 +3,9 @@
 // The uniform scheduler is oblivious to agent identity and every protocol's
 // transition depends only on the two interacting *states*, so the projection
 // of the configuration onto state counts is itself a Markov chain
-// (lumpability).  The same argument survives one generalization: on a
-// *blocked* topology (cliques, complete-multipartite "islands", community
-// models — pp::BlockedTopology) agents within a community are exchangeable,
-// so the projection onto (community, state) counts is again Markov.  Both
-// projections share every piece of machinery except the key type, so the
-// machinery lives in a generic `CountsKernel<Key>`:
+// (lumpability).  `CountsConfiguration<P>` is that projection:
 //
-//   * an interner-backed registry (pp/interner.hpp): distinct keys live
+//   * an interner-backed registry (pp/interner.hpp): distinct states live
 //     once in the interner's arena, are hashed once when first seen, and
 //     everything downstream — counts, the Fenwick tree, block samplers,
 //     the batched engine's scratch multisets and memoized transition
@@ -31,12 +26,10 @@
 //   * incremental live-count bookkeeping, so compaction decisions are
 //     O(1) per block.
 //
-// `CountsConfiguration<P>` (Key = the protocol's State) is the thin
-// instantiation the uniform-scheduler engines advance
-// (pp/batched_simulator.hpp, pp/leaping_simulator.hpp); at n = 10^6+ it
-// replaces a multi-megabyte agent array with a handful of counters.
-// `CommunityCountsConfiguration<P>` (pp/community_counts.hpp; Key = packed
-// (community, state)) is the lifted instantiation for blocked topologies.
+// The uniform-scheduler counts engines advance it (pp/batched_simulator.hpp,
+// pp/leaping_simulator.hpp); at n = 10^6+ it replaces a multi-megabyte
+// agent array with a handful of counters.  Other topologies keep per-agent
+// identity and run on the naive engine (pp/graph.hpp).
 #pragma once
 
 #include <bit>
@@ -50,14 +43,29 @@
 
 namespace ssle::pp {
 
-/// The generic counts registry: key ↔ id interning, id → count bookkeeping,
-/// and a Fenwick index over the counts.  Key must be equality-comparable
-/// and copyable; a std::hash specialization enables the interner's O(1)
-/// id-table path (non-hashable keys fall back to a linear scan).
-template <typename Key>
-class CountsKernel {
+/// The counts registry: state ↔ id interning, id → count bookkeeping, and
+/// a Fenwick index over the counts.  A std::hash specialization of the
+/// state enables the interner's O(1) id-table path (non-hashable states
+/// fall back to a linear scan).
+template <Protocol P>
+class CountsConfiguration {
  public:
-  CountsKernel() = default;
+  using State = typename P::State;
+
+  /// Clean initial configuration defined by the protocol.
+  explicit CountsConfiguration(const P& protocol) {
+    for (std::uint32_t i = 0; i < protocol.population_size(); ++i) {
+      add(protocol.initial_state(i), 1);
+    }
+  }
+
+  /// Projection of an explicit configuration (adversarial starts, interop).
+  explicit CountsConfiguration(const std::vector<State>& states) {
+    for (const State& s : states) add(s, 1);
+  }
+
+  explicit CountsConfiguration(const Population<P>& population)
+      : CountsConfiguration(population.states()) {}
 
   /// Total number of agents n (the multiset cardinality).
   std::uint64_t population_size() const { return total_; }
@@ -67,7 +75,7 @@ class CountsKernel {
   /// iterating or for sizing id-indexed scratch arrays.
   std::uint32_t num_states() const { return interner_.capacity(); }
 
-  /// Number of currently interned keys (excludes reclaimed slots;
+  /// Number of currently interned states (excludes reclaimed slots;
   /// includes registered-but-zero-count entries until compact()).
   std::uint32_t num_allocated_states() const { return interner_.size(); }
 
@@ -75,20 +83,21 @@ class CountsKernel {
   /// incrementally (so compaction decisions cost O(1), not O(q)).
   std::uint32_t num_live_states() const { return live_; }
 
-  const Key& key(std::uint32_t idx) const { return interner_.state(idx); }
+  /// The protocol state class id idx stands for.
+  const State& state(std::uint32_t idx) const { return interner_.state(idx); }
   std::uint64_t count(std::uint32_t idx) const { return counts_[idx]; }
   const std::vector<std::uint64_t>& counts() const { return counts_; }
 
-  const StateInterner<Key>& interner() const { return interner_; }
+  const StateInterner<State>& interner() const { return interner_; }
 
   /// Bumped whenever compact() reclaims ids.  Caches keyed on class ids
   /// (e.g. the batched engine's memoized transition table) must be dropped
-  /// when this changes — reclaimed ids may be reused for other keys.
+  /// when this changes — reclaimed ids may be reused for other states.
   std::uint64_t registry_version() const { return interner_.version(); }
 
   // --- lifetime operation counters (obs::EngineMetrics feeds) ----------
   // One uint64 increment per O(log q) tree operation: always on, within
-  // noise of the uninstrumented kernel (bench_gates' obs gate).
+  // noise of the uninstrumented registry (bench_gates' obs gate).
   /// Fenwick point updates executed (one per add_at/remove_at).
   std::uint64_t fenwick_updates() const { return fenwick_updates_; }
   /// Fenwick sampling descents executed (one per sample_class).
@@ -96,16 +105,16 @@ class CountsKernel {
   /// compact() calls that ran.
   std::uint64_t compactions() const { return compactions_; }
 
-  /// Count of a key, 0 if it was never registered.
-  std::uint64_t count_of(const Key& k) const {
-    const std::uint32_t id = interner_.find(k);
-    return id == StateInterner<Key>::kNoId ? 0 : counts_[id];
+  /// Count of a state, 0 if it was never registered.
+  std::uint64_t count_of(const State& s) const {
+    const std::uint32_t id = interner_.find(s);
+    return id == StateInterner<State>::kNoId ? 0 : counts_[id];
   }
 
-  /// Id of a key, registering it (with count 0) if new.  Stable until
+  /// Id of a state, registering it (with count 0) if new.  Stable until
   /// the id is reclaimed by compact().
-  std::uint32_t index_of(const Key& k) {
-    const std::uint32_t id = interner_.intern(k);
+  std::uint32_t index_of(const State& s) {
+    const std::uint32_t id = interner_.intern(s);
     if (id >= counts_.size()) {
       counts_.push_back(0);
       tree_append();
@@ -113,22 +122,23 @@ class CountsKernel {
     return id;
   }
 
-  /// Id of `k` when the caller already suspects it: if `hint` currently
-  /// stands for a key equal to k, returns it without hashing — the fast
-  /// path for "this interaction left the state unchanged".
-  std::uint32_t index_of(const Key& k, std::uint32_t hint) {
-    if (interner_.allocated(hint) && k == interner_.state(hint)) return hint;
-    return index_of(k);
+  /// Id of `s` when the caller already suspects it: if `hint` currently
+  /// stands for a state equal to s, returns it without hashing — the fast
+  /// path for "this interaction left the state unchanged", and the
+  /// engines' re-interning hook for δ outputs.
+  std::uint32_t index_of(const State& s, std::uint32_t hint) {
+    if (interner_.allocated(hint) && s == interner_.state(hint)) return hint;
+    return index_of(s);
   }
 
-  /// Adds c agents under key k; returns the key's id.
-  std::uint32_t add(const Key& k, std::uint64_t c) {
-    const std::uint32_t idx = index_of(k);
+  /// Adds c agents in state s; returns the state's id.
+  std::uint32_t add(const State& s, std::uint64_t c) {
+    const std::uint32_t idx = index_of(s);
     add_at(idx, c);
     return idx;
   }
 
-  /// Adds c agents to the already-registered key at idx.
+  /// Adds c agents to the already-registered state at idx.
   void add_at(std::uint32_t idx, std::uint64_t c) {
     if (counts_[idx] == 0 && c > 0) ++live_;
     counts_[idx] += c;
@@ -136,7 +146,7 @@ class CountsKernel {
     tree_add(idx, c);
   }
 
-  /// Removes c agents from the key at idx (c must not exceed the count).
+  /// Removes c agents from the state at idx (c must not exceed the count).
   void remove_at(std::uint32_t idx, std::uint64_t c) {
     assert(counts_[idx] >= c);
     counts_[idx] -= c;
@@ -152,11 +162,11 @@ class CountsKernel {
   // free list, never re-indexes — so a joining agent whose state id was
   // reclaimed and reused still lands on a valid, live slot.
 
-  /// One agent joins the population in state k.  O(log q); returns the id
+  /// One agent joins the population in state s.  O(log q); returns the id
   /// the agent was filed under.  Population size grows by one — engines
   /// re-read population_size() per block, so the next block envelope and
   /// scheduler weights see the new n.
-  std::uint32_t insert_agent(const Key& k) { return add(k, 1); }
+  std::uint32_t insert_agent(const State& s) { return add(s, 1); }
 
   /// One agent leaves the population from the class at idx (which must be
   /// live).  O(log q).  Removing the last agent of a class leaves a dead
@@ -195,7 +205,7 @@ class CountsKernel {
     return idx;
   }
 
-  /// Applies f(key, count) to every key with a nonzero count.
+  /// Applies f(state, count) to every state with a nonzero count.
   template <typename F>
   void for_each(F&& f) const {
     for (std::uint32_t i = 0; i < counts_.size(); ++i) {
@@ -203,7 +213,7 @@ class CountsKernel {
     }
   }
 
-  /// Number of agents whose key satisfies pred.
+  /// Number of agents whose state satisfies pred.
   template <typename Pred>
   std::uint64_t count_if(Pred&& pred) const {
     std::uint64_t c = 0;
@@ -242,8 +252,8 @@ class CountsKernel {
   /// Releases every zero-count id to the interner's free list (it will be
   /// reused by future registrations) and trims trailing reclaimed slots.
   /// Live ids — and all their Fenwick sums — are untouched: no re-indexing
-  /// happens, so previously obtained ids of live keys stay valid.  Ids
-  /// of dead keys become invalid; registry_version() records that.
+  /// happens, so previously obtained ids of live states stay valid.  Ids
+  /// of dead states become invalid; registry_version() records that.
   void compact() {
     ++compactions_;
     interner_.reclaim([&](std::uint32_t id) { return counts_[id] == 0; });
@@ -255,6 +265,19 @@ class CountsKernel {
     counts_.resize(interner_.capacity());
     tree_.resize(interner_.capacity() + 1);
   }
+
+  /// Expands back to a flat configuration (state order is registry order;
+  /// any agent labelling is valid because counts determine the dynamics).
+  std::vector<State> to_states() const {
+    std::vector<State> out;
+    out.reserve(population_size());
+    for_each([&](const State& s, std::uint64_t c) {
+      for (std::uint64_t j = 0; j < c; ++j) out.push_back(s);
+    });
+    return out;
+  }
+
+  Population<P> to_population() const { return Population<P>(to_states()); }
 
  private:
   // Fenwick tree over counts_, 1-indexed (tree_[0] unused): tree_[j] holds
@@ -277,14 +300,14 @@ class CountsKernel {
 
   /// Extends the tree for a just-registered entry (count 0): the new node
   /// covers the trailing lowbit(j) entries, whose sum is a prefix
-  /// difference — O(log q), so registering keys stays cheap.
+  /// difference — O(log q), so registering states stays cheap.
   void tree_append() {
     const auto j = static_cast<std::uint32_t>(counts_.size());
     const std::uint32_t lb = j & (~j + 1u);
     tree_.push_back(prefix_count(j - 1) - prefix_count(j - lb));
   }
 
-  StateInterner<Key> interner_;          ///< id ↔ key, hashed once
+  StateInterner<State> interner_;        ///< id ↔ state, hashed once
   std::vector<std::uint64_t> counts_;    ///< id → count (0 for free slots)
   std::vector<std::uint64_t> tree_{0};   ///< Fenwick tree over counts_
   std::uint64_t total_ = 0;
@@ -296,61 +319,6 @@ class CountsKernel {
   std::uint64_t fenwick_updates_ = 0;
   mutable std::uint64_t fenwick_samples_ = 0;
   std::uint64_t compactions_ = 0;
-};
-
-/// The uniform-scheduler counts projection: Key = the protocol's State.
-/// A thin instantiation of CountsKernel plus the protocol-facing
-/// conveniences (clean-start and projection constructors, expansion back
-/// to a flat configuration).
-template <Protocol P>
-class CountsConfiguration : public CountsKernel<typename P::State> {
- public:
-  using State = typename P::State;
-
-  /// Under the uniform scheduler every ordered agent pair is equally
-  /// likely, so the batched engine's birthday-block machinery applies
-  /// as-is (pp::LumpableTopology in pp/batched_simulator.hpp).
-  static constexpr bool kUniformPairs = true;
-
-  /// Clean initial configuration defined by the protocol.
-  explicit CountsConfiguration(const P& protocol) {
-    for (std::uint32_t i = 0; i < protocol.population_size(); ++i) {
-      this->add(protocol.initial_state(i), 1);
-    }
-  }
-
-  /// Projection of an explicit configuration (adversarial starts, interop).
-  explicit CountsConfiguration(const std::vector<State>& states) {
-    for (const State& s : states) this->add(s, 1);
-  }
-
-  explicit CountsConfiguration(const Population<P>& population)
-      : CountsConfiguration(population.states()) {}
-
-  /// The protocol state class id idx stands for (the key, under this
-  /// instantiation).
-  const State& state(std::uint32_t idx) const { return this->key(idx); }
-
-  /// Id of output state `s` produced by an interaction whose input held id
-  /// `hint` — the engine-facing re-interning hook.  Under the uniform
-  /// projection this is exactly the hinted index_of; the community-lifted
-  /// configuration uses the hint to keep the output in its community.
-  std::uint32_t index_near(const State& s, std::uint32_t hint) {
-    return this->index_of(s, hint);
-  }
-
-  /// Expands back to a flat configuration (state order is registry order;
-  /// any agent labelling is valid because counts determine the dynamics).
-  std::vector<State> to_states() const {
-    std::vector<State> out;
-    out.reserve(this->population_size());
-    this->for_each([&](const State& s, std::uint64_t c) {
-      for (std::uint64_t j = 0; j < c; ++j) out.push_back(s);
-    });
-    return out;
-  }
-
-  Population<P> to_population() const { return Population<P>(to_states()); }
 };
 
 }  // namespace ssle::pp

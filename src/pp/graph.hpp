@@ -99,10 +99,9 @@ class GraphScheduler {
 /// A blocked (community-structured) topology: n agents partitioned into K
 /// communities laid out contiguously by agent index, with edge weight
 /// `intra` between agents of the same community and `inter` between agents
-/// of different communities.  This family covers the structured graphs on
-/// which the counts projection lifted to (community, state) is an exact
-/// Markov lumping — agents within a community are exchangeable, so no
-/// per-agent information survives the projection:
+/// of different communities.  This family covers the structured graphs
+/// whose pair law is closed-form in the community sizes, so no edge list
+/// is ever materialized:
 ///
 ///   * complete(n)            — K = 1, intra = 1 (the classical model);
 ///   * islands(n, K, wi, wo)  — K cliques of weight wi bridged all-to-all
@@ -119,12 +118,10 @@ class GraphScheduler {
 ///     W(a, a) = intra · m_a · (m_a − 1),      W(a, b) = inter · m_a · m_b
 ///
 /// and within the chosen communities agents are uniform (without
-/// replacement when a = b).  Both exact engines for this family sample
-/// from the same table: BlockedScheduler picks concrete agents for the
-/// naive engine (O(n) memory at any n — no edge materialization, unlike
-/// Graph, whose islands edge list at n = 10^6 would hold ~5·10^11 edges),
-/// and CommunityCountsConfiguration (pp/community_counts.hpp) picks
-/// (community, state) classes for the batched engine.
+/// replacement when a = b).  BlockedScheduler draws concrete agents from
+/// that table for the naive engine (O(n) memory at any n — no edge
+/// materialization, unlike Graph, whose islands edge list at n = 10^6
+/// would hold ~5·10^11 edges).
 class BlockedTopology {
  public:
   static BlockedTopology complete(std::uint64_t n);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "pp/batched_simulator.hpp"
-#include "pp/community_counts.hpp"
 #include "pp/epidemic.hpp"
 
 namespace ssle::pp {
@@ -136,8 +135,8 @@ TEST(Counts, ShouldCompactFiresOnTheAbsoluteDeadRule) {
   // q ≈ n regime: with far more live than dead states the fraction rule
   // would wait for dead ≥ live, stranding a huge dead tail.  The policy's
   // absolute clause must fire at kCompactDeadAbsolute dead ids regardless.
-  using Kernel = CountsKernel<int>;
-  const std::uint32_t dead_bound = Kernel::kCompactDeadAbsolute;
+  const std::uint32_t dead_bound =
+      CountsConfiguration<Epidemic>::kCompactDeadAbsolute;
   const std::uint32_t live = 3 * dead_bound;
   CountsConfiguration<Epidemic> config(std::vector<int>{});
   for (std::uint32_t s = 0; s < live + dead_bound; ++s) {
@@ -499,104 +498,33 @@ TEST(Hypergeometric, MultivariateMeansAreProportional) {
   EXPECT_NEAR(sums[2] / trials, 10.0, 0.5);
 }
 
-// ---------------------------------------------------------------------------
-// CountsKernel over packed (community, state) keys: the generic machinery
-// behaves identically whether Key is a bare state or a composite — the
-// community lift reuses it unmodified (pp/community_counts.hpp).
-// ---------------------------------------------------------------------------
-
-using PackedKey = CommunityKey<int>;
-
-TEST(CountsKernel, PackedKeyFenwickConsistencyUnderChurn) {
-  static_assert(HashableState<PackedKey>);
-  CountsKernel<PackedKey> kernel;
-  util::Rng rng(11);
-  for (int round = 0; round < 200; ++round) {
-    const PackedKey key{static_cast<std::uint32_t>(rng.below(4)),
-                        static_cast<int>(rng.below(6))};
-    kernel.add(key, 1 + rng.below(5));
-  }
-  expect_index_consistent(kernel);
-  // Drain random classes; the Fenwick index must stay exact throughout.
-  for (int round = 0; round < 100 && kernel.population_size() > 0; ++round) {
-    const auto idx = kernel.sample_class(rng.below(kernel.population_size()));
-    kernel.remove_at(idx, 1 + rng.below(kernel.count(idx)));
-  }
-  expect_index_consistent(kernel);
-}
-
-TEST(CountsKernel, PackedKeysWithSameStateDifferentCommunityAreDistinct) {
-  CountsKernel<PackedKey> kernel;
-  const auto a = kernel.add(PackedKey{0, 7}, 3);
-  const auto b = kernel.add(PackedKey{1, 7}, 5);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(kernel.count_of(PackedKey{0, 7}), 3u);
-  EXPECT_EQ(kernel.count_of(PackedKey{1, 7}), 5u);
-  EXPECT_EQ(kernel.key(a).community, 0u);
-  EXPECT_EQ(kernel.key(b).community, 1u);
-  EXPECT_EQ(kernel.key(a).state, kernel.key(b).state);
-}
-
-TEST(CountsKernel, PackedKeyCompactKeepsLiveIdsStable) {
-  CountsKernel<PackedKey> kernel;
-  const auto a = kernel.add(PackedKey{0, 1}, 2);
-  const auto b = kernel.add(PackedKey{1, 1}, 4);
-  const auto c = kernel.add(PackedKey{1, 2}, 1);
-  kernel.remove_at(b, 4);
-  const auto version = kernel.registry_version();
-  kernel.compact();
-  // The dead interior id is released; surviving packed keys keep their ids
-  // and their counts — no re-indexing (the property every id-keyed cache
-  // in the batched engine relies on, now for community ids too).
-  EXPECT_GT(kernel.registry_version(), version);
-  EXPECT_EQ(kernel.num_allocated_states(), 2u);
-  EXPECT_EQ(kernel.count(a), 2u);
-  EXPECT_EQ(kernel.count(c), 1u);
-  EXPECT_EQ(kernel.index_of(PackedKey{0, 1}), a);
-  EXPECT_EQ(kernel.index_of(PackedKey{1, 2}), c);
-  // The reclaimed slot is reused by the next novel packed key.
-  EXPECT_EQ(kernel.index_of(PackedKey{3, 9}), b);
-  expect_index_consistent(kernel);
-}
-
 TEST(CountsKernel, InsertRemoveAgentAreExactUnderChurn) {
   // The churn primitives: one-agent edits must keep counts, totals and the
   // Fenwick index exact through sustained join/leave/corrupt traffic.
-  CountsKernel<int> kernel;
+  CountsConfiguration<Epidemic> config(std::vector<int>{});
   util::Rng rng(23);
-  for (int i = 0; i < 64; ++i) kernel.insert_agent(static_cast<int>(i % 7));
-  EXPECT_EQ(kernel.population_size(), 64u);
+  for (int i = 0; i < 64; ++i) config.insert_agent(static_cast<int>(i % 7));
+  EXPECT_EQ(config.population_size(), 64u);
   for (int round = 0; round < 2000; ++round) {
     // leave: uniform victim via Fenwick descent, like the fault runner.
     const auto victim =
-        kernel.sample_class(rng.below(kernel.population_size()));
-    kernel.remove_agent(victim);
+        config.sample_class(rng.below(config.population_size()));
+    config.remove_agent(victim);
     // join: sometimes a brand-new state (id churn), sometimes an old one.
-    kernel.insert_agent(round % 3 == 0 ? 1000 + round
+    config.insert_agent(round % 3 == 0 ? 1000 + round
                                        : static_cast<int>(rng.below(7)));
-    if (kernel.should_compact()) kernel.compact();
+    if (config.should_compact()) config.compact();
   }
-  EXPECT_EQ(kernel.population_size(), 64u);
+  EXPECT_EQ(config.population_size(), 64u);
   std::uint64_t total = 0;
-  kernel.for_each([&](int, std::uint64_t c) { total += c; });
+  config.for_each([&](int, std::uint64_t c) { total += c; });
   EXPECT_EQ(total, 64u);
-  expect_index_consistent(kernel);
+  expect_index_consistent(config);
   // Bounded allocation: 2000 one-shot novel states passed through, but the
   // compaction policy reclaims them — the registry must not grow linearly
   // with churn history.
-  EXPECT_LT(kernel.num_allocated_states(), 128u);
-  EXPECT_GT(kernel.compactions(), 0u);
-}
-
-TEST(CountsKernel, HintedIndexOfHonorsThePackedKey) {
-  CountsKernel<PackedKey> kernel;
-  const auto a = kernel.add(PackedKey{0, 5}, 1);
-  const auto b = kernel.add(PackedKey{2, 5}, 1);
-  // A correct hint is returned as-is; a hint whose key differs (same state,
-  // other community) must not be trusted.
-  EXPECT_EQ(kernel.index_of(PackedKey{0, 5}, a), a);
-  EXPECT_EQ(kernel.index_of(PackedKey{0, 5}, b), a);
-  EXPECT_EQ(kernel.index_of(PackedKey{2, 5}, a), b);
+  EXPECT_LT(config.num_allocated_states(), 128u);
+  EXPECT_GT(config.compactions(), 0u);
 }
 
 }  // namespace

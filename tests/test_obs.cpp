@@ -4,7 +4,6 @@
 // The counter invariants documented in obs/metrics.hpp are pinned here on
 // every engine:
 //   * interactions_iterated + interactions_leapt == interactions;
-//   * community_pair_draws == interactions on the community path;
 //   * delta_cache_misses == delta_cache_entries while clears == 0.
 // The counts-native safety probe must agree with the agent-vector predicate
 // applied to to_states() of the same registry — the property that makes
@@ -29,9 +28,7 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "pp/batched_simulator.hpp"
-#include "pp/community_counts.hpp"
 #include "pp/epidemic.hpp"
-#include "pp/graph.hpp"
 #include "pp/leaping_simulator.hpp"
 #include "pp/simulator.hpp"
 #include "util/rng.hpp"
@@ -71,23 +68,6 @@ TEST(EngineMetrics, BatchedCountersReconcile) {
   EXPECT_GE(m.registry_live_states, 1u);
   EXPECT_LE(m.registry_live_states, m.registry_allocated_states);
   EXPECT_LE(m.registry_allocated_states, m.registry_capacity);
-}
-
-TEST(EngineMetrics, CommunityPairDrawsEqualInteractions) {
-  pp::Epidemic proto{32};
-  auto blocked = pp::BlockedTopology::islands(32, 4, 1.0, 0.1);
-  pp::BatchedSimulator<pp::Epidemic,
-                       pp::CommunityCountsConfiguration<pp::Epidemic>>
-      sim(proto,
-          pp::CommunityCountsConfiguration<pp::Epidemic>(proto,
-                                                         std::move(blocked)),
-          7);
-  sim.step(600);
-  const obs::EngineMetrics m = sim.metrics();
-  EXPECT_STREQ(m.engine, "batched-community");
-  EXPECT_EQ(m.interactions, 600u);
-  EXPECT_EQ(m.community_pair_draws, m.interactions);
-  EXPECT_EQ(m.interactions_iterated + m.interactions_leapt, m.interactions);
 }
 
 TEST(EngineMetrics, LeapingCountersReconcileUnderSplits) {
@@ -184,10 +164,12 @@ TEST(EngineMetrics, ToJsonCarriesFlatCounters) {
   EXPECT_NE(line.find("\"fenwick_samples\":"), std::string::npos);
   EXPECT_NE(line.find("\"blocks_flat\":0"), std::string::npos);
   // Schema version 2 removed the multi-shard engine's fields; 3 added the
-  // leap window counters; 4 removed the flat sampler's scan-draw counter.
-  EXPECT_EQ(obs::kMetricsSchemaVersion, 4);
+  // leap window counters; 4 removed the flat sampler's scan-draw counter;
+  // 5 removed the community path's pair-draw counter.
+  EXPECT_EQ(obs::kMetricsSchemaVersion, 5);
   EXPECT_EQ(line.find("shard"), std::string::npos);
   EXPECT_EQ(line.find("scan_draws"), std::string::npos);
+  EXPECT_EQ(line.find("community"), std::string::npos);
 }
 
 TEST(EngineMetrics, MergeSumsCountersAndTakesTheDepthMax) {
