@@ -17,6 +17,7 @@
 //       without materializing an edge list (an islands edge list at
 //       n = 10^6 holds ~5·10^11 edges); tests/test_topology.cpp pins its
 //       pair law.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -249,8 +250,11 @@ int main(int argc, char** argv) {
   auto scale_rows = util::Json::array();
   for (const std::string& spec : specs) {
     const auto t0 = Clock::now();
+    // A probe every n/64 interactions, so the /(n ln n) column resolves
+    // steps of 1/(64 ln n) rather than the default grid's 1/ln n.
     const auto res = analysis::epidemic_convergence(
-        analysis::Engine::kNaive, ncmp, seed + 13, 0, 0,
+        analysis::Engine::kNaive, ncmp, seed + 13, 0,
+        std::max<std::uint64_t>(1, ncmp / 64),
         analysis::topology_from_string(spec));
     const double wall = seconds_since(t0);
     const double nlogn =

@@ -19,7 +19,8 @@
 //   --topology=complete|islands:K[:intra:inter]|multipartite:K|ring
 //                                    (any topology but complete runs on the
 //                                    naive engine; a batched or leaping
-//                                    request reroutes with a stderr note)
+//                                    request reroutes with a stderr note,
+//                                    and the report names naive)
 #include <cstdint>
 #include <iostream>
 
@@ -50,16 +51,19 @@ int main(int argc, char** argv) {
 
   const auto res = analysis::epidemic_convergence(engine, n, seed, 0, 0,
                                                   topology, &journal);
+  // The engine that ran, which the heartbeats name too.
+  const char* ran =
+      analysis::engine_name(analysis::resolved_engine(engine, topology));
 
   auto summary = util::Json::object();
-  summary.set("engine", analysis::engine_name(engine));
+  summary.set("engine", ran);
   summary.set("n", n);
   summary.set("converged", res.converged);
   summary.set("interactions", res.interactions);
   summary.set("heartbeats", journal.events_emitted());
   journal.event("done", std::move(summary));
 
-  std::cout << "epidemic on " << analysis::engine_name(engine) << " at n=" << n
+  std::cout << "epidemic on " << ran << " at n=" << n
             << (res.converged ? " converged" : " DID NOT CONVERGE") << " after "
             << res.interactions << " interactions; " << journal.events_emitted()
             << " journal events"

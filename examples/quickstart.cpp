@@ -4,6 +4,7 @@
 //   ./examples/quickstart [--n=64] [--r=8] [--seed=1]
 #include <cstdint>
 #include <iostream>
+#include <utility>
 
 #include "analysis/census.hpp"
 #include "core/elect_leader.hpp"
@@ -32,9 +33,11 @@ int main(int argc, char** argv) {
                                ((n + r - 1) / r);
   while (sim.interactions() < budget) {
     sim.step(n);  // one unit of parallel time
+    // Read through a const reference: a non-const read would drop the
+    // engine's silent lane, which the next step would then rebuild.
+    const auto& agents = std::as_const(sim).population().states();
     if (sim.interactions() >= next_report) {
-      const auto census =
-          analysis::take_census(params, sim.population().states());
+      const auto census = analysis::take_census(params, agents);
       std::cout << "t=" << sim.interactions() / n
                 << " (interactions=" << sim.interactions() << ")"
                 << "  resetters=" << census.resetters
@@ -44,7 +47,7 @@ int main(int argc, char** argv) {
                 << " msgs=" << census.total_messages << '\n';
       next_report = sim.interactions() + 16ull * n;
     }
-    if (core::is_safe_configuration(params, sim.population().states())) {
+    if (core::is_safe_configuration(params, agents)) {
       safe = true;
       break;
     }

@@ -252,6 +252,10 @@ const char* engine_name(Engine engine) {
   return "unknown";
 }
 
+Engine resolved_engine(Engine engine, const Topology& topology) {
+  return topology.kind == Topology::Kind::kComplete ? engine : Engine::kNaive;
+}
+
 StartKind start_from_string(const std::string& name) {
   if (name == "clean") return StartKind::kClean;
   if (name == "adversarial") return StartKind::kAdversarial;
@@ -427,7 +431,7 @@ pp::RunResult epidemic_convergence(Engine engine, std::uint64_t n,
                            "topologies, and it materializes n agents "
                            "(uint32 limit)");
   }
-  if (engine != Engine::kNaive) {
+  if (resolved_engine(engine, topology) != engine) {
     std::fprintf(stderr,
                  "note: topology '%s' has no lumped configuration; routing "
                  "--engine=%s to the naive agent-array engine\n",

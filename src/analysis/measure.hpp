@@ -110,6 +110,11 @@ const char* topology_name(const Topology& topology);
 Engine engine_from_string(const std::string& name);
 const char* engine_name(Engine engine);
 
+/// The engine a run on `topology` actually uses when `engine` is asked
+/// for: the request itself on the complete graph, naive on every other
+/// topology.  epidemic_convergence() routes by this, so reports name it.
+Engine resolved_engine(Engine engine, const Topology& topology);
+
 /// Parses a `--start=` CLI value ("clean" | "adversarial"); exits with a
 /// clear error on anything else.
 StartKind start_from_string(const std::string& name);

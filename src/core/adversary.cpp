@@ -148,7 +148,7 @@ ArState random_ar_state(const Params& params, util::Rng& rng) {
       s.deputy_id = static_cast<std::uint32_t>(1 + rng.below(params.r));
       s.counter = static_cast<std::uint32_t>(1 + rng.below(params.label_pool));
       s.channel.assign(params.r, 0);
-      s.channel[s.deputy_id - 1] = s.counter;
+      s.channel.set(s.deputy_id - 1, s.counter);
       break;
     case 3:  // recipient, possibly labelled
       s.type = ArType::kRecipient;
@@ -171,10 +171,9 @@ ArState random_ar_state(const Params& params, util::Rng& rng) {
       s.rank = static_cast<std::uint32_t>(1 + rng.below(params.n));
       break;
   }
-  if (!s.channel.empty()) {
-    for (auto& c : s.channel) {
-      c = static_cast<std::uint32_t>(rng.below(params.label_pool + 1));
-    }
+  for (std::size_t i = 0; i < s.channel.size(); ++i) {
+    s.channel.set(
+        i, static_cast<std::uint32_t>(rng.below(params.label_pool + 1)));
   }
   return s;
 }

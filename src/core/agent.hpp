@@ -6,12 +6,14 @@
 // every role change; state-space *size* accounting (which is what the
 // paper's bounds are about) lives in core/state_size.*.
 //
-// Memory layout.  An Agent is at most 200 inline bytes.  Its heap state is
+// Memory layout.  An Agent is at most 184 inline bytes.  Its heap state is
 // the ranker's channel, plus, for a verifier, two DetectCollision blocks:
 // the MsgStore buffer (bucket bounds and every held message) and the
-// observations array.  The store is sized per agent rather than at a fixed
-// stride: a stride sized for verifiers would give every ranker and
-// resetter a verifier's few kilobytes.
+// observations array.  The channel is an 8-byte handle to a buffer that
+// rankers with equal channels may share (core/channel.hpp).  The store is
+// sized per agent rather than at a fixed stride: a stride sized for
+// verifiers would give every ranker and resetter a verifier's few
+// kilobytes.
 #pragma once
 
 #include <algorithm>
@@ -21,6 +23,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/channel.hpp"
 #include "util/hash.hpp"
 
 namespace ssle::core {
@@ -83,7 +86,7 @@ struct ArState {
 
   /// channel[i] = highest label count heard from deputy i+1 (max-epidemic).
   /// Active for all non-LE, non-Ranked types.
-  std::vector<std::uint32_t> channel;
+  Channel channel;
 
   /// Final rank; meaningful only once type == kRanked (initialized to 1:
   /// "This is initialised to 1 and updated only when agent becomes ranked").
@@ -366,7 +369,7 @@ struct Agent {
 // Naive populations hold n agents inline; keep rankers cache-sized.
 static_assert(sizeof(MsgStore) == sizeof(std::vector<Msg>));
 static_assert(sizeof(Msg) == 2 * sizeof(std::uint32_t));  // header words
-static_assert(sizeof(Agent) <= 200);
+static_assert(sizeof(Agent) <= 184);
 
 // ---------------------------------------------------------------------------
 // Hashing: a nested combine over every field operator== compares, so equal

@@ -1,8 +1,5 @@
 #include "core/assign_ranks.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "core/fast_leader_elect.hpp"
 
 namespace ssle::core {
@@ -25,11 +22,6 @@ bool has_channel(const ArState& s) {
   return false;
 }
 
-std::uint64_t channel_sum(const ArState& s) {
-  return std::accumulate(s.channel.begin(), s.channel.end(),
-                         std::uint64_t{0});
-}
-
 /// Leaves leader election as the sheriff with the full badge roster
 /// ("any sheriff elected ... is initiated to have a full roster of badges
 /// from {1, ..., r} and its channel field all set to 0", Lemma D.3).
@@ -44,7 +36,7 @@ void become_sheriff(const Params& params, ArState& s) {
     s.type = ArType::kDeputy;
     s.deputy_id = s.low_badge;
     s.counter = 1;
-    s.channel[s.deputy_id - 1] = 1;
+    s.channel.set(s.deputy_id - 1, 1);
   }
 }
 
@@ -75,7 +67,6 @@ void become_ranked(ArState& s) {
   s.type = ArType::kRanked;
   // "After assigning itself a rank, an agent discards its remaining states."
   s.channel.clear();
-  s.channel.shrink_to_fit();
   s.le = {};
   s.low_badge = s.high_badge = 0;
   s.deputy_id = s.counter = 0;
@@ -155,7 +146,7 @@ void deputize(const Params& params, ArState& u, ArState& v) {
       z->deputy_id = z->low_badge;
       z->counter = 1;
       if (z->deputy_id >= 1 && z->deputy_id <= z->channel.size()) {
-        z->channel[z->deputy_id - 1] = 1;
+        z->channel.set(z->deputy_id - 1, 1);
       }
     }
   }
@@ -167,11 +158,11 @@ void labeling(const Params& params, ArState& u, ArState& v) {
 
   // Labels may only be handed out once all r deputies are known to exist
   // (Protocol 10 line 1: Σ channel ≥ r).
-  if (channel_sum(w) < params.r) return;
+  if (w.channel.sum() < params.r) return;
   if (w.counter < params.label_pool) {
     ++w.counter;
     if (w.deputy_id >= 1 && w.deputy_id <= w.channel.size()) {
-      w.channel[w.deputy_id - 1] = w.counter;
+      w.channel.set(w.deputy_id - 1, w.counter);
     }
     x.label = {w.deputy_id, w.counter};
   }
@@ -221,28 +212,22 @@ void assign_ranks(const Params& params, ArState& u, ArState& v,
     labeling(params, u, v);
   }
 
-  // Protocol 7 lines 8–9: channel max-epidemic.  The pass also sums the
-  // merged channel, which both agents now hold, for the sleep check below.
-  const bool merged = has_channel(u) && has_channel(v);
-  std::uint64_t merged_sum = 0;
-  if (merged) {
+  // Protocol 7 lines 8–9: channel max-epidemic.  Both agents then hold
+  // the merged channel, and its sum, kept with the buffer, feeds the sleep
+  // check below.
+  if (has_channel(u) && has_channel(v)) {
     if (u.channel.size() != v.channel.size()) {
       // Only possible from an adversarial configuration; normalize.
-      u.channel.resize(params.r, 0);
-      v.channel.resize(params.r, 0);
+      u.channel.resize(params.r);
+      v.channel.resize(params.r);
     }
-    for (std::size_t i = 0; i < u.channel.size(); ++i) {
-      const std::uint32_t mx = std::max(u.channel[i], v.channel[i]);
-      u.channel[i] = mx;
-      v.channel[i] = mx;
-      merged_sum += mx;
-    }
+    Channel::merge_max(u.channel, v.channel);
   }
 
   // Protocol 7 lines 10–11: all n labels assigned → go to sleep.
   for (ArState* s : {&u, &v}) {
     if (has_channel(*s) && s->type != ArType::kSleeper &&
-        (merged ? merged_sum : channel_sum(*s)) == params.n) {
+        s->channel.sum() == params.n) {
       become_sleeper(*s);
     }
   }

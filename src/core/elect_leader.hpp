@@ -36,18 +36,28 @@ class ElectLeader {
   /// Protocol 1.  Almost every interaction of a clean start meets two
   /// ranked rankers whose countdowns are still running (C_max outlasts
   /// AssignRanks, Lemma 6.2), and for them δ only ticks both countdowns:
-  /// no reset, AssignRanks is silent and no countdown reaches 0.  That
-  /// case is decided inline; every other pair takes interact_general().
+  /// no reset, AssignRanks is silent and no countdown reaches 0.  That is
+  /// the silent pair of pp::SilentLane, both lane keys above 1; it is
+  /// decided inline, and every other pair takes interact_general().
   void interact(State& u, State& v, util::Rng& rng) const {
-    if (u.role == Role::kRanking && v.role == Role::kRanking &&
-        u.ar.type == ArType::kRanked && v.ar.type == ArType::kRanked &&
-        u.countdown > 1 && v.countdown > 1) {
-      --u.countdown;
-      --v.countdown;
+    const std::uint32_t ku = lane_key(u);
+    const std::uint32_t kv = lane_key(v);
+    if (ku > 1 && kv > 1) {
+      set_lane_key(u, ku - 1);
+      set_lane_key(v, kv - 1);
       return;
     }
     interact_general(u, v, rng);
   }
+
+  /// pp::SilentLane: the countdown of a ranked ranker, else 0.
+  static std::uint32_t lane_key(const State& s) {
+    return s.role == Role::kRanking && s.ar.type == ArType::kRanked
+               ? s.countdown
+               : 0;
+  }
+  /// Writes a lane key back; only called on states whose key is non-zero.
+  static void set_lane_key(State& s, std::uint32_t key) { s.countdown = key; }
 
   /// Protocol 1 for any pair, without the inline shortcut; interact()
   /// must equal it on every pair of states.

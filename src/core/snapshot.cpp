@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <sstream>
+#include <vector>
 
 namespace ssle::core {
 
@@ -127,10 +128,11 @@ std::optional<Agent> read_agent(std::istringstream& is) {
   if (!read_u32(is, "ar_rank", &a.ar.rank)) return std::nullopt;
   if (!read_u32(is, "chan_n", &u32)) return std::nullopt;
   if (u32 > (1u << 20)) return std::nullopt;
-  a.ar.channel.resize(u32);
-  for (auto& c : a.ar.channel) {
+  std::vector<std::uint32_t> channel(u32);
+  for (auto& c : channel) {
     if (!(is >> c)) return std::nullopt;
   }
+  a.ar.channel = Channel(channel.data(), channel.size());
 
   if (!(is >> tag) || tag != "sv") return std::nullopt;
   if (!read_u32(is, "gen", &a.sv.generation)) return std::nullopt;

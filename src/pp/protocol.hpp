@@ -81,6 +81,22 @@ inline constexpr bool kNarrowRegistry = [] {
 template <typename P>
 concept LeapEligible = DeterministicDelta<P> && kNarrowRegistry<P>;
 
+/// Opt-in for the naive engine's packed lane (pp::Simulator::step).  P
+/// declares `static std::uint32_t lane_key(const State&)` and
+/// `static void set_lane_key(State&, std::uint32_t)`, with this contract:
+/// when both agents' keys are above 1, interact() only lowers each key by
+/// one (through set_lane_key) and draws nothing; set_lane_key, called only
+/// on a state whose key is non-zero, changes nothing but the key.  The
+/// engine then runs those silent pairs on an array of keys and leaves the
+/// states alone until another pair meets them or the population is read.
+template <typename P>
+concept SilentLane = Protocol<P> && requires(const typename P::State& cs,
+                                             typename P::State& s,
+                                             std::uint32_t key) {
+  { P::lane_key(cs) } -> std::same_as<std::uint32_t>;
+  { P::set_lane_key(s, key) };
+};
+
 /// The interaction count at which a `run_until` budget of `budget`
 /// interactions, started at `interactions`, runs out.  Saturates at
 /// 2^64 − 1, so an "unbounded" budget of ~0 never wraps below the start.

@@ -14,6 +14,8 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -78,7 +80,27 @@ class Simulator {
       : Simulator(protocol, Population<P>(protocol), seed) {}
 
   /// Executes exactly `count` interactions.
+  ///
+  /// A pp::SilentLane protocol runs on a packed lane: one u32 key per
+  /// agent, and a silent pair (both keys above 1) only lowers two keys.
+  /// Every other pair writes its two keys back into the states, runs
+  /// interact() and re-keys them.  The states' keys are brought up to date
+  /// only when the population is read (population(), run_until's probe,
+  /// population edits, checkpoints); a non-const read drops the lane, since
+  /// the caller may edit the states.  Building the lane and reading it back
+  /// each cost O(n), so a step takes the lane only when it runs at least n
+  /// interactions or the lane already holds keys the states lack.  While no
+  /// agent has a key the lane costs two key reads per pair.  The draws and
+  /// the transitions are those of the one-pair loop.
   void step(std::uint64_t count = 1) {
+    if constexpr (SilentLane<P>) {
+      if ((lane_live_ && !lane_flushed_) || count >= population_.size()) {
+        step_lane(count);
+        interactions_ += count;
+        return;
+      }
+      lane_live_ = false;
+    }
     for (std::uint64_t i = 0; i < count; ++i) {
       const Pair pair = scheduler_.next();
       protocol_.interact(population_[pair.initiator],
@@ -96,7 +118,7 @@ class Simulator {
     if (probe_every == 0) {
       probe_every = std::max<std::uint64_t>(1, population_.size());
     }
-    if (done(population_, interactions_)) {
+    if (done(std::as_const(*this).population(), interactions_)) {
       return {interactions_, true};
     }
     const std::uint64_t limit = budget_limit(interactions_, max_interactions);
@@ -104,7 +126,7 @@ class Simulator {
       const std::uint64_t chunk = std::min<std::uint64_t>(
           probe_every, limit - interactions_);
       step(chunk);
-      if (done(population_, interactions_)) {
+      if (done(std::as_const(*this).population(), interactions_)) {
         return {interactions_, true};
       }
     }
@@ -125,26 +147,36 @@ class Simulator {
     return m;
   }
 
-  Population<P>& population() { return population_; }
-  const Population<P>& population() const { return population_; }
+  /// The agents, up to date; the lane is dropped, since the caller may
+  /// edit them.
+  Population<P>& population() {
+    flush_lane();
+    lane_live_ = false;
+    return population_;
+  }
+  /// The agents, up to date; the lane is kept.
+  const Population<P>& population() const {
+    flush_lane();
+    return population_;
+  }
   const P& protocol() const { return protocol_; }
 
   // Population edits (fault plans) and checkpoint state, uniform scheduler
   // only: edits keep its cached n in step, and a population leaving
   // [2, kMaxAgents] exits 2 (field: n), as the constructor does.
   void add_agent(typename P::State s) {
-    population_.states().push_back(std::move(s));
+    population().states().push_back(std::move(s));
     resize_scheduler();
   }
   /// Swap-remove: the last agent takes index i.
   void remove_agent(std::uint32_t i) {
-    auto& agents = population_.states();
+    auto& agents = population().states();
     if (i + 1 != agents.size()) agents[i] = std::move(agents.back());
     agents.pop_back();
     resize_scheduler();
   }
   void set_agents(std::vector<typename P::State> agents) {
-    population_.states() = std::move(agents);
+    population().states() = std::move(agents);
     resize_scheduler();
   }
   /// [scheduler, transition agent_rng_], the order set_rng_states takes.
@@ -165,11 +197,110 @@ class Simulator {
     scheduler_.set_population_size(population_.size());
   }
 
+  // --- The silent lane (SilentLane protocols only) --------------------------
+
+  void step_lane(std::uint64_t count) {
+    if (!lane_live_) {
+      const auto& agents = population_.states();
+      lane_.resize(agents.size());
+      lane_keyed_ = 0;
+      for (std::size_t i = 0; i < agents.size(); ++i) {
+        lane_[i] = P::lane_key(agents[i]);
+        lane_keyed_ += lane_[i] != 0;
+      }
+      lane_live_ = true;
+    }
+    lane_flushed_ = false;
+    if constexpr (std::is_trivially_copyable_v<Sched>) {
+      // A local copy keeps the scheduler's state in registers across the
+      // out-of-line calls.
+      Sched scheduler = scheduler_;
+      run_lane(scheduler, count);
+      scheduler_ = scheduler;
+    } else {
+      run_lane(scheduler_, count);
+    }
+  }
+
+  void run_lane(Sched& scheduler, std::uint64_t count) {
+    std::uint32_t* const lane = lane_.data();
+    while (count != 0) {
+      if (lane_keyed_ == 0) {
+        // No agent has a key: the one-pair loop, re-keying each pair.
+        while (count != 0) {
+          --count;
+          const Pair pair = scheduler.next();
+          auto& u = population_[pair.initiator];
+          auto& v = population_[pair.responder];
+          protocol_.interact(u, v, agent_rng_);
+          const std::uint32_t ku = P::lane_key(u);
+          const std::uint32_t kv = P::lane_key(v);
+          if ((ku | kv) != 0) {
+            lane[pair.initiator] = ku;
+            lane[pair.responder] = kv;
+            lane_keyed_ = (ku != 0) + (kv != 0);
+            break;
+          }
+        }
+        continue;
+      }
+      while (count != 0) {
+        --count;
+        const Pair pair = scheduler.next();
+        const std::uint32_t ku = lane[pair.initiator];
+        const std::uint32_t kv = lane[pair.responder];
+        if (ku > 1 && kv > 1) {
+          lane[pair.initiator] = ku - 1;
+          lane[pair.responder] = kv - 1;
+          continue;
+        }
+        interact_keyed(pair);
+        if (lane_keyed_ == 0) break;
+      }
+    }
+  }
+
+  /// A pair that is not silent: keys back into the states, δ, re-key.
+  [[gnu::noinline]] void interact_keyed(Pair pair) {
+    std::uint32_t& ku = lane_[pair.initiator];
+    std::uint32_t& kv = lane_[pair.responder];
+    auto& u = population_[pair.initiator];
+    auto& v = population_[pair.responder];
+    if (ku != 0) P::set_lane_key(u, ku);
+    if (kv != 0) P::set_lane_key(v, kv);
+    lane_keyed_ -= (ku != 0) + (kv != 0);
+    protocol_.interact(u, v, agent_rng_);
+    ku = P::lane_key(u);
+    kv = P::lane_key(v);
+    lane_keyed_ += (ku != 0) + (kv != 0);
+  }
+
+  /// Writes the lane's keys into the states.  Const, because reading the
+  /// population is: the agents and this flag are mutable for it.
+  void flush_lane() const {
+    if constexpr (SilentLane<P>) {
+      if (!lane_live_ || lane_flushed_) return;
+      if (lane_keyed_ != 0) {
+        for (std::size_t i = 0; i < lane_.size(); ++i) {
+          if (lane_[i] != 0) {
+            P::set_lane_key(population_[static_cast<std::uint32_t>(i)],
+                            lane_[i]);
+          }
+        }
+      }
+      lane_flushed_ = true;
+    }
+  }
+
   P protocol_;
-  Population<P> population_;
+  mutable Population<P> population_;  // flush_lane() writes keys back
   Sched scheduler_;
   util::Rng agent_rng_;
   std::uint64_t interactions_ = 0;
+  std::vector<std::uint32_t> lane_;  ///< one key per agent while live
+  std::size_t lane_keyed_ = 0;       ///< lane entries that are non-zero
+  bool lane_live_ = false;           ///< lane_ holds every agent's key
+  mutable bool lane_flushed_ = true; ///< the states hold the lane's keys
 };
 
 }  // namespace ssle::pp

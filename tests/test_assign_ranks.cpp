@@ -150,7 +150,7 @@ TEST(Labeling, PoolExhaustionStopsLabeling) {
   deputy.deputy_id = 1;
   deputy.counter = p.label_pool;  // exhausted
   deputy.channel.assign(2, 1);
-  deputy.channel[0] = p.label_pool;
+  deputy.channel.set(0, p.label_pool);
   ArState recipient;
   recipient.type = ArType::kRecipient;
   recipient.channel.assign(2, 0);
@@ -223,7 +223,7 @@ TEST(Sleep, MergedChannelsThatSumToNSleepBoth) {
   b.channel = {0, 4};
   util::Rng rng(1);
   assign_ranks(p, a, b, rng);
-  EXPECT_EQ(a.channel, (std::vector<std::uint32_t>{4, 4}));
+  EXPECT_EQ(a.channel, (Channel{4, 4}));
   EXPECT_EQ(a.type, ArType::kSleeper);
   EXPECT_EQ(b.type, ArType::kSleeper);
 

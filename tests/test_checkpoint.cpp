@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/churn.hpp"
@@ -257,6 +259,66 @@ TEST(CheckpointRestore, NaiveContinuationIsBitIdentical) {
         checkpoint_dump(make_checkpoint(resumer, "elect_leader",
                                         core::snapshot_write_agent)))
         << "diverged on leg " << leg;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointRestore, NaiveCheckpointMidSilentPhaseResumesBitIdentically) {
+  // Mid-silent-phase the naive engine's lane holds countdowns the agents
+  // lack; the checkpoint must see them, and neither the save nor the
+  // restore may move the run.  The reference is the same run as a plain
+  // loop over an agent array.
+  using Naive = pp::Simulator<core::ElectLeader>;
+  const Params p = Params::make(64, 8);
+  const core::ElectLeader protocol(p);
+  Naive saver(protocol, 5);
+  std::vector<core::Agent> plain =
+      pp::Population<core::ElectLeader>(protocol).states();
+  pp::UniformScheduler scheduler(p.n, util::substream(5, 1));
+  util::Rng rng(util::substream(5, 2));
+  const auto step_both = [&](Naive& sim, std::uint64_t count) {
+    sim.step(count);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const pp::Pair pair = scheduler.next();
+      protocol.interact(plain[pair.initiator], plain[pair.responder], rng);
+    }
+  };
+  const auto all_silent = [&] {
+    return std::all_of(plain.begin(), plain.end(), [](const auto& a) {
+      return core::ElectLeader::lane_key(a) > 1;
+    });
+  };
+  while (!all_silent()) {
+    step_both(saver, p.n);
+    ASSERT_LT(saver.interactions(), analysis::default_budget(p));
+  }
+  step_both(saver, 3 * p.n + 5);
+
+  const std::string path = tmp_path("naive-silent");
+  const CheckpointDoc saved =
+      make_checkpoint(saver, "elect_leader", core::snapshot_write_agent);
+  ASSERT_TRUE(checkpoint_save(path, saved));
+  const auto loaded = checkpoint_load(path);
+  ASSERT_TRUE(loaded.has_value());
+  Naive resumer(protocol, 999);
+  ASSERT_TRUE(restore_checkpoint(resumer, *loaded, "elect_leader",
+                                 core::snapshot_read_agent));
+  EXPECT_EQ(std::as_const(resumer).population().states(), plain);
+
+  const auto dump = [](const Naive& sim) {
+    return checkpoint_dump(
+        make_checkpoint(sim, "elect_leader", core::snapshot_write_agent));
+  };
+  // On past the end of the silent phase, where a countdown the checkpoint
+  // missed would change when agents turn verifier.
+  for (int leg = 0; leg < 6 || all_silent(); ++leg) {
+    const std::uint64_t count = leg % 2 == 0 ? p.n : 7;
+    saver.step(count);
+    step_both(resumer, count);
+    ASSERT_EQ(dump(resumer), dump(saver)) << "leg " << leg;
+    ASSERT_EQ(std::as_const(resumer).population().states(), plain)
+        << "leg " << leg;
+    ASSERT_LT(saver.interactions(), analysis::default_budget(p));
   }
   std::remove(path.c_str());
 }

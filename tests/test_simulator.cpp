@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "core/adversary.hpp"
+#include "core/derandomized.hpp"
 #include "core/elect_leader.hpp"
 #include "core/params.hpp"
 #include "pp/graph.hpp"
@@ -244,6 +247,166 @@ TEST(SimulatorChunking, EpidemicOnBlockedSchedulerMatchesOnePairLoop) {
   EXPECT_TRUE(mid_spread(
       expect_stream_identity(Epidemic{64}, scheduler, seed, 1003)));
   expect_stream_identity(Trail{64}, scheduler, seed, 1003);
+}
+
+// --- SilentLane: the packed countdown lane runs the one-pair loop ----------
+
+static_assert(SilentLane<core::ElectLeader>);
+static_assert(!SilentLane<core::DerandomizedElectLeader>);  // coins move
+static_assert(!SilentLane<Epidemic>);
+
+/// The one-pair loop on a plain agent array, with the engine's streams and
+/// the engine's population edits.
+struct PlainRun {
+  core::ElectLeader protocol;
+  std::vector<core::Agent> agents;
+  UniformScheduler scheduler;
+  util::Rng rng;
+
+  PlainRun(const core::ElectLeader& p, std::vector<core::Agent> start,
+           std::uint64_t seed)
+      : protocol(p),
+        agents(std::move(start)),
+        scheduler(static_cast<std::uint32_t>(agents.size()),
+                  util::substream(seed, 1)),
+        rng(util::substream(seed, 2)) {}
+
+  void step(std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const Pair pair = scheduler.next();
+      protocol.interact(agents[pair.initiator], agents[pair.responder], rng);
+    }
+  }
+  void resized() {
+    scheduler.set_population_size(static_cast<std::uint32_t>(agents.size()));
+  }
+};
+
+using LaneSim = Simulator<core::ElectLeader>;
+
+/// Applies edit k (of five kinds) to both runs: a countdown and a whole
+/// state written through population(), add_agent, remove_agent and
+/// set_agents.
+void edit_both(int k, const core::Params& p, LaneSim& sim, PlainRun& ref,
+               util::Rng& rng) {
+  auto i = static_cast<std::uint32_t>(rng.below(ref.agents.size()));
+  switch (k % 5) {
+    case 0: {  // a lane key changed behind the engine's back
+      auto& agents = sim.population().states();
+      const auto keyed =
+          std::find_if(agents.begin(), agents.end(), [](const auto& a) {
+            return core::ElectLeader::lane_key(a) != 0;
+          });
+      if (keyed != agents.end()) {
+        i = static_cast<std::uint32_t>(keyed - agents.begin());
+      }
+      core::Agent& a = agents[i];
+      a.countdown = a.countdown / 2 + 1;
+      ref.agents[i].countdown = ref.agents[i].countdown / 2 + 1;
+      break;
+    }
+    case 1: {
+      const core::Agent s = core::random_agent(p, rng);
+      sim.population()[i] = s;
+      ref.agents[i] = s;
+      break;
+    }
+    case 2:
+      sim.add_agent(ref.protocol.initial_state(0));
+      ref.agents.push_back(ref.protocol.initial_state(0));
+      ref.resized();
+      break;
+    case 3:
+      sim.remove_agent(i);
+      if (i + 1 != ref.agents.size()) ref.agents[i] = ref.agents.back();
+      ref.agents.pop_back();
+      ref.resized();
+      break;
+    case 4: {
+      std::vector<core::Agent> agents = ref.agents;
+      std::rotate(agents.begin(), agents.begin() + 1, agents.end());
+      sim.set_agents(agents);
+      ref.agents = std::move(agents);
+      break;
+    }
+  }
+}
+
+/// Runs the engine and the plain loop side by side for about `total`
+/// interactions.  Each round takes a step of n (which builds the lane),
+/// about 2n interactions in steps of `chunk`, a const read (which flushes
+/// the lane and must keep the run) and one more step of `chunk` (which
+/// drops a flushed lane when chunk < n); five rounds also edit the
+/// population.  Returns true when some round saw every agent silent.
+bool expect_lane_matches_plain(const core::Params& p,
+                               std::vector<core::Agent> start,
+                               std::uint64_t seed, std::uint64_t chunk,
+                               std::uint64_t total) {
+  const core::ElectLeader protocol(p);
+  LaneSim sim(protocol, Population<core::ElectLeader>(start), seed);
+  PlainRun ref(protocol, std::move(start), seed);
+  util::Rng edits(util::substream(seed, 50));
+  int edit = 0;
+  bool saw_silent = false;
+  const auto both = [&](std::uint64_t count) {
+    sim.step(count);
+    ref.step(count);
+  };
+  while (sim.interactions() < total) {
+    const std::uint64_t n = ref.agents.size();
+    both(n);
+    for (std::uint64_t k = 0; k < 2 * n; k += chunk) both(chunk);
+    const auto& seen = std::as_const(sim).population().states();
+    if (seen != ref.agents) {
+      ADD_FAILURE() << "diverged by " << sim.interactions() << ", chunk "
+                    << chunk;
+      return saw_silent;
+    }
+    saw_silent |= std::all_of(seen.begin(), seen.end(), [](const auto& a) {
+      return core::ElectLeader::lane_key(a) > 1;
+    });
+    both(chunk);
+    if (edit < 5 && sim.interactions() >= (edit + 1) * total / 6) {
+      edit_both(edit++, p, sim, ref, edits);
+      both(chunk);
+    }
+  }
+  EXPECT_EQ(edit, 5);
+  EXPECT_EQ(sim.population().states(), ref.agents) << "chunk " << chunk;
+  return saw_silent;
+}
+
+TEST(SilentLane, CleanStartMatchesThePlainLoop) {
+  // At n = 64 every agent is silent from ≈ 8 000 to ≈ 40 000
+  // interactions, so the first edits land in the silent phase.
+  const core::Params p =
+      core::Params::make(64, 8, core::MessageMultiplicity::kLight);
+  const core::ElectLeader protocol(p);
+  std::vector<core::Agent> start;
+  for (std::uint32_t i = 0; i < p.n; ++i) {
+    start.push_back(protocol.initial_state(i));
+  }
+  for (const std::uint64_t chunk : {std::uint64_t{1}, std::uint64_t{15},
+                                    std::uint64_t{p.n}}) {
+    // The run reaches the silent phase, where the lane does its work.
+    EXPECT_TRUE(expect_lane_matches_plain(p, start, 21, chunk, 60000))
+        << "chunk " << chunk;
+  }
+}
+
+TEST(SilentLane, EveryCorruptionClassMatchesThePlainLoop) {
+  const core::Params p =
+      core::Params::make(32, 8, core::MessageMultiplicity::kLight);
+  std::uint64_t stream = 0;
+  for (const core::Corruption c : core::all_corruptions()) {
+    util::Rng rng(util::substream(31, stream++));
+    const auto start = core::make_adversarial_config(p, c, rng);
+    for (const std::uint64_t chunk : {std::uint64_t{1}, std::uint64_t{15},
+                                      std::uint64_t{p.n}}) {
+      SCOPED_TRACE(core::corruption_name(c));
+      expect_lane_matches_plain(p, start, 40 + stream, chunk, 60000);
+    }
+  }
 }
 
 }  // namespace

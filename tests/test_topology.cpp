@@ -12,9 +12,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <map>
+#include <string>
 
 #include "analysis/measure.hpp"
+#include "obs/journal.hpp"
 #include "baselines/loose_leader.hpp"
 #include "pp/epidemic.hpp"
 #include "pp/graph.hpp"
@@ -362,6 +366,40 @@ TEST(TopologyDispatch, BlockedTopologyReroutesCountsEnginesToNaive) {
       EXPECT_EQ(res.converged, naive.converged);
     }
   }
+}
+
+TEST(TopologyDispatch, ResolvedEngineIsTheOneTheHeartbeatsName) {
+  // A report names resolved_engine(): the engine whose metrics the
+  // journal's heartbeats carry.
+  const std::string path = ::testing::TempDir() + "resolved_engine.jsonl";
+  for (const char* spec : {"complete", "islands:4", "multipartite:3", "ring"}) {
+    const auto topo = analysis::topology_from_string(spec);
+    for (const auto engine : {analysis::Engine::kNaive,
+                              analysis::Engine::kBatched,
+                              analysis::Engine::kLeaping}) {
+      SCOPED_TRACE(std::string(spec) + " " + analysis::engine_name(engine));
+      const auto ran = analysis::resolved_engine(engine, topo);
+      EXPECT_EQ(ran, std::string(spec) == "complete" ? engine
+                                                    : analysis::Engine::kNaive);
+      {
+        obs::Journal::Options opts;
+        opts.path = path;
+        obs::Journal journal(opts);
+        analysis::epidemic_convergence(engine, 300, 9, 0, 0, topo, &journal);
+      }
+      std::ifstream in(path);
+      const std::string want =
+          std::string("\"engine\":\"") + analysis::engine_name(ran) + "\"";
+      int heartbeats = 0;
+      for (std::string line; std::getline(in, line);) {
+        if (line.find("\"engine\":") == std::string::npos) continue;
+        ++heartbeats;
+        EXPECT_NE(line.find(want), std::string::npos) << line;
+      }
+      EXPECT_GT(heartbeats, 0);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(TopologyDispatch, CompleteTopologyDelegatesToTheUniformPath) {

@@ -80,8 +80,8 @@ TEST_F(Walkthrough, FullPipelineByHand) {
   // --- Phase 3: channel broadcast.  The deputies exchange counts so both
   // see Σ channel = 2 = r, unlocking labeling (Protocol 10 line 1).
   meet(s, d2);
-  EXPECT_EQ(agents[s].channel, (std::vector<std::uint32_t>{1, 1}));
-  EXPECT_EQ(agents[d2].channel, (std::vector<std::uint32_t>{1, 1}));
+  EXPECT_EQ(agents[s].channel, (Channel{1, 1}));
+  EXPECT_EQ(agents[d2].channel, (Channel{1, 1}));
 
   // --- Phase 4: labeling.  Deputy 1 labels the two remaining recipients.
   const int r1 = index_of(ArType::kRecipient);
@@ -109,7 +109,7 @@ TEST_F(Walkthrough, FullPipelineByHand) {
   meet(d2, r2);
   EXPECT_EQ(agents[r1].type, ArType::kSleeper);
   EXPECT_EQ(agents[r2].type, ArType::kSleeper);
-  EXPECT_EQ(agents[r1].channel, (std::vector<std::uint32_t>{3, 1}));
+  EXPECT_EQ(agents[r1].channel, (Channel{3, 1}));
 
   // --- Phase 6: after c_sleep·log n own interactions the sleepers wake
   // and take their lexicographic ranks: deputy1 → 1, r1 → 2, r2 → 3,
